@@ -28,8 +28,7 @@ func main() {
 		backoff   = flag.Duration("backoff", 50*time.Millisecond, "first retry delay, doubling per attempt")
 		workers   = flag.Int("quote-workers", 0, "max sites quoted concurrently per exchange (0 = default of 8)")
 		codec     = flag.String("codec", "", "codec to request when dialing sites: json|binary|v1 (empty = negotiate binary with JSON fallback, v1 = plain v1 JSON with no handshake)")
-		route     = flag.String("route", wire.RouteTopK, "quote routing policy: topk (digest-ranked top-k sites) | fanout (every breaker-admitted site)")
-		topk      = flag.Int("topk", 4, "candidate sites per bid under -route=topk (0 = full fan-out, same as -route=fanout)")
+		topk      = flag.Int("topk", 4, "quote only the k sites ranked best by their load digests (0 = full fan-out: quote every breaker-admitted site)")
 		digestInt = flag.Duration("digest-interval", 0, "load-digest push cadence requested from sites (0 = default of 250ms)")
 		peers     = flag.String("peers", "", "comma-separated peer broker addresses for consistent-hash sharding (empty = standalone)")
 		advertise = flag.String("advertise", "", "this broker's own address in the peer ring (empty = -addr)")
@@ -59,13 +58,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *route != wire.RouteTopK && *route != wire.RouteFanout {
-		fmt.Fprintf(os.Stderr, "brokerd: unknown -route %q (want %s or %s)\n", *route, wire.RouteTopK, wire.RouteFanout)
-		os.Exit(2)
-	}
+	route := wire.RouteTopK
 	if *topk <= 0 {
 		// k=0 means "quote everyone" — exactly fan-out.
-		*route = wire.RouteFanout
+		route = wire.RouteFanout
 	}
 
 	cfg := wire.BrokerConfig{
@@ -77,7 +73,7 @@ func main() {
 		IdleTimeout:       *idle,
 		Metrics:           obs.Default,
 		SiteCodec:         *codec,
-		Route:             *route,
+		Route:             route,
 		TopK:              *topk,
 		DigestInterval:    *digestInt,
 		CircuitFailures:   *cbFails,

@@ -67,3 +67,37 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 		t.Errorf("metric family not documented in DESIGN.md: %s", m)
 	}
 }
+
+// docPathRe matches a repo-root path under cmd/ or results/ wherever the
+// docs quote one: `cmd/brokerd`, `go run ./cmd/siteserver -addr ...`,
+// `results/fig3.csv`. A leading path component (benchmark/results/...)
+// is somebody else's directory and does not match.
+var docPathRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/.-])(?:\./)?((?:cmd|results)/[A-Za-z0-9_*][A-Za-z0-9_.*-]*)`)
+
+// TestDocPathsExist fails if README.md or DESIGN.md quotes a command
+// directory or a results file that is not on disk (globs must match at
+// least one file). A deleted binary or result file must take its
+// quick-start with it.
+func TestDocPathsExist(t *testing.T) {
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range bytes.Split(src, []byte("\n")) {
+			for _, m := range docPathRe.FindAllSubmatch(line, -1) {
+				path := strings.TrimRight(string(m[1]), ".")
+				checked++
+				// The only glob syntax docPathRe admits is '*', so the
+				// pattern cannot be malformed.
+				if hits, _ := filepath.Glob(path); len(hits) == 0 {
+					t.Errorf("%s:%d: quotes %q, which does not exist", doc, i+1, path)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no cmd/ or results/ paths in the docs — the scan regex is broken")
+	}
+}

@@ -65,8 +65,8 @@ func BenchmarkBuildCandidate(b *testing.B) {
 	}
 }
 
-// The size trajectory below mirrors cmd/bench: n in {100, 1k, 10k} so
-// scaling behavior (not just a point estimate) shows up in benchstat.
+// The size trajectory below spans n in {100, 1k, 10k} so scaling behavior
+// (not just a point estimate) shows up in benchstat.
 var benchSizes = []int{100, 1000, 10000}
 
 func BenchmarkPlanStarts(b *testing.B) {

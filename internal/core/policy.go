@@ -279,12 +279,3 @@ func (p FirstReward) InsertKey(now float64, t *task.Task, base []*task.Task) (fl
 	cost := t.RPT * (totalD - t.Decay) // base-frame cost term
 	return (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*cost) / t.RPT, true
 }
-
-// ByName returns the named policy.
-//
-// Deprecated: ByName only understands bare names; use ParseSpec, which
-// additionally accepts parameterized specs such as "pv:rate=0.01" and
-// "firstreward:alpha=0.8,rate=0.01". ByName delegates to ParseSpec.
-func ByName(name string) (Policy, error) {
-	return ParseSpec(name)
-}

@@ -188,17 +188,6 @@ func TestRankOrderDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"fcfs", "FCFS", "srpt", "SRPT", "swpt", "SWPT", "firstprice", "FirstPrice"} {
-		if _, err := ByName(name); err != nil {
-			t.Errorf("ByName(%q) = %v", name, err)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("ByName(nope) should fail")
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
 	for _, p := range []Policy{FCFS{}, SRPT{}, SWPT{}, FirstPrice{},
 		PresentValue{DiscountRate: 0.01}, FirstReward{Alpha: 0.3, DiscountRate: 0.01}} {

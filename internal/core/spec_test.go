@@ -13,13 +13,17 @@ func TestParseSpecPolicies(t *testing.T) {
 		{"fcfs", FCFS{}},
 		{"FCFS", FCFS{}},
 		{" srpt ", SRPT{}},
+		{"SRPT", SRPT{}},
 		{"swpt", SWPT{}},
+		{"SWPT", SWPT{}},
 		{"firstprice", FirstPrice{}},
+		{"FirstPrice", FirstPrice{}},
 		{"fp", FirstPrice{}},
 		{"pv", PresentValue{DiscountRate: 0.01}},
 		{"presentvalue:rate=0.05", PresentValue{DiscountRate: 0.05}},
 		{"firstreward", FirstReward{Alpha: 0.3, DiscountRate: 0.01}},
 		{"fr:alpha=0.8", FirstReward{Alpha: 0.8, DiscountRate: 0.01}},
+		{"firstreward:alpha=0.5", FirstReward{Alpha: 0.5, DiscountRate: 0.01}},
 		{"FirstReward:Alpha=0.8,Rate=0.02,General", FirstReward{Alpha: 0.8, DiscountRate: 0.02, ForceGeneralCost: true}},
 		{"scheduledprice", ScheduledPrice{}},
 		{"scheduledprice:procs=8,rounds=3", ScheduledPrice{Processors: 8, Rounds: 3}},
@@ -43,6 +47,8 @@ func TestParseSpecErrors(t *testing.T) {
 	}{
 		{"", "empty spec"},
 		{"nosuchpolicy", "unknown policy"},
+		{"nope", "unknown policy"},
+		{"bogus", "unknown policy"},
 		{"fcfs:rate=1", "unknown parameter"},
 		{"firstreward:aplha=0.8", "unknown parameter"},
 		{"firstreward:bogusflag", "unknown flag"},
@@ -61,19 +67,6 @@ func TestParseSpecErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.errPart) {
 			t.Errorf("ParseSpec(%q) error %q does not mention %q", tc.spec, err, tc.errPart)
 		}
-	}
-}
-
-func TestByNameDelegatesToParseSpec(t *testing.T) {
-	p, err := ByName("firstreward:alpha=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != (FirstReward{Alpha: 0.5, DiscountRate: 0.01}) {
-		t.Fatalf("ByName = %#v", p)
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Error("ByName accepted an unknown policy")
 	}
 }
 

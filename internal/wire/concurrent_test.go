@@ -17,7 +17,7 @@ import (
 )
 
 // TestServerDifferentialLegacyVsConcurrent runs one deterministic request
-// script against a LegacyLocked server and a concurrent (snapshot +
+// script against a legacyLocked server and a concurrent (snapshot +
 // group-commit) server and demands the same decision sequence: the same
 // accepts, rejects, duplicate-award answers, and query states. Quoted
 // floats are wall-clock dependent and are not compared; the decisions are
@@ -32,7 +32,7 @@ func TestServerDifferentialLegacyVsConcurrent(t *testing.T) {
 			Admission:    admission.SlackThreshold{Threshold: -150},
 			DataDir:      t.TempDir(),
 			Fsync:        durable.FsyncAlways,
-			LegacyLocked: legacy,
+			legacyLocked: legacy,
 		})
 		c := dialServer(t, srv)
 		var settleWG sync.WaitGroup

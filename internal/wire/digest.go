@@ -88,8 +88,8 @@ func (s *Server) pushDigests(sc *serverConn, interval time.Duration, stop chan s
 // which is the waiting-time estimate a router needs to price a placement.
 func (s *Server) digest(interval time.Duration) Envelope {
 	var backlog float64
-	// Legacy-locked servers publish no snapshots; their digests carry the
-	// counts but a zero horizon.
+	// The locked test reference publishes no snapshots; its digests carry
+	// the counts but a zero horizon.
 	if snap, _ := s.mergedSnapshot(); snap != nil {
 		now := s.now()
 		for _, rel := range snap.BusyUntil(now) {

@@ -93,7 +93,7 @@ func (s *Server) appendRecordIdx(shard int, r contractRecord) (idx uint64, journ
 	if err != nil {
 		return 0, false, err
 	}
-	if s.cfg.LegacyLocked {
+	if s.cfg.legacyLocked {
 		idx, err = s.j.Append(b)
 	} else {
 		idx, err = s.j.AppendBatchedStream(shard, b)

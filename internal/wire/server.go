@@ -93,18 +93,17 @@ type ServerConfig struct {
 	// merge of the shards' published snapshots, and dispatch plans over the
 	// merged queue under one global planner lock, so admission decisions and
 	// prices do not depend on the shard count. Zero or one means a single
-	// shard; LegacyLocked forces one.
+	// shard.
 	Shards int
 	// Codecs restricts which wire codecs the server will negotiate in the
 	// v2 hello/welcome handshake. Empty allows every registered codec; JSON
 	// is always allowed as the mandatory fallback.
 	Codecs []string
-	// LegacyLocked serves every RPC under the single global mutex and syncs
-	// each award's journal record inline — the pre-snapshot, pre-group-commit
-	// architecture. It exists as the differential oracle and benchmark
-	// baseline for the concurrent request path; production servers leave it
-	// false.
-	LegacyLocked bool
+	// legacyLocked serves every RPC under the single global mutex, on one
+	// shard, and syncs each award's journal record inline. Only this
+	// package's differential test sets it: the locked handlers are the
+	// reference the concurrent request path is compared against.
+	legacyLocked bool
 }
 
 func (c ServerConfig) crashRegime() string {
@@ -115,7 +114,7 @@ func (c ServerConfig) crashRegime() string {
 }
 
 func (c ServerConfig) shardCount() int {
-	if c.LegacyLocked || c.Shards < 1 {
+	if c.legacyLocked || c.Shards < 1 {
 		return 1
 	}
 	return c.Shards
@@ -442,11 +441,11 @@ func (sh *bookShard) snapshotLocked() *site.QuoteSnapshot {
 }
 
 // publishLocked rebuilds and publishes the shard's quote snapshot. Callers
-// must hold sh.mu (or run before the accept loop starts). Legacy mode skips
-// publication entirely so its cost profile stays faithful to the pre-PR
-// single-lock server.
+// must hold sh.mu (or run before the accept loop starts). The locked test
+// reference publishes nothing: its handlers quote under sh.mu, not from the
+// board.
 func (sh *bookShard) publishLocked() {
-	if sh.s.cfg.LegacyLocked {
+	if sh.s.cfg.legacyLocked {
 		return
 	}
 	sh.board.Publish(sh.snapshotLocked())
@@ -838,7 +837,7 @@ func (s *Server) handleBid(env Envelope) Envelope {
 		return s.shedReject(bid, shedReasonInflight, "bid quota exhausted", s.shedFloorNow())
 	}
 	defer s.shed.release()
-	if s.cfg.LegacyLocked {
+	if s.cfg.legacyLocked {
 		return s.handleBidLegacy(bid)
 	}
 	snap, _ := s.mergedSnapshot()
@@ -873,8 +872,8 @@ func (s *Server) handleBid(env Envelope) Envelope {
 }
 
 // handleBidLegacy is the pre-snapshot bid path: the whole quote runs under
-// the single shard's lock. Kept as the differential oracle and benchmark
-// baseline. The caller has already run the deadline and in-flight gates;
+// the single shard's lock. Kept as the differential test reference. The
+// caller has already run the deadline and in-flight gates;
 // the value floor applies here exactly as on the snapshot path.
 func (s *Server) handleBidLegacy(bid market.Bid) Envelope {
 	sh := s.shards[0]
@@ -967,7 +966,7 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	if err != nil {
 		return Envelope{Type: TypeError, Reason: err.Error()}
 	}
-	if s.cfg.LegacyLocked {
+	if s.cfg.legacyLocked {
 		return s.handleAwardLegacy(bid, sc)
 	}
 	// Optimistic quote, before any lock.
@@ -1224,8 +1223,7 @@ func (s *Server) rollbackUnsyncedAward(t *task.Task, idx uint64, serr error) boo
 
 // handleAwardLegacy is the pre-group-commit award path: quote, journal
 // append, and fsync all execute under the single shard's lock, serializing
-// every award behind the disk. Kept as the differential oracle and
-// benchmark baseline.
+// every award behind the disk. Kept as the differential test reference.
 func (s *Server) handleAwardLegacy(bid market.Bid, sc *serverConn) Envelope {
 	sh := s.shards[0]
 	sh.mu.Lock()
@@ -1562,7 +1560,7 @@ func (s *Server) complete(t *task.Task) {
 	// A settle record under FsyncAlways must be durable before the
 	// settlement push, as it was when Append synced inline; it rides the
 	// shared group-commit barrier, outside the lock.
-	settleSync := settleJournaled && !s.cfg.LegacyLocked && s.cfg.Fsync == durable.FsyncAlways
+	settleSync := settleJournaled && !s.cfg.legacyLocked && s.cfg.Fsync == durable.FsyncAlways
 	sh.mu.Unlock()
 
 	s.dispatch()
