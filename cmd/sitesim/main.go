@@ -22,7 +22,7 @@ func main() {
 	var (
 		in        = flag.String("trace", "", "trace file from tracegen (required)")
 		procs     = flag.Int("procs", 0, "processors (default: trace's spec)")
-		policy    = flag.String("policy", "firstprice", "policy spec: fcfs|srpt|swpt|firstprice|pv[:rate=]|firstreward[:alpha=,rate=,general]|scheduledprice[:procs=,rounds=]")
+		policy    = flag.String("policy", "firstprice", "policy spec: fcfs|srpt|swpt|firstprice|pv[:rate=]|firstreward[:alpha=,rate=]|scheduledprice[:procs=,rounds=]")
 		adm       = flag.String("admission", "", "admission spec: accept-all|slack[:threshold=]|min-yield[:threshold=] (empty: accept-all)")
 		discount  = flag.Float64("discount", 0.01, "discount rate for admission slack quoting")
 		preempt   = flag.Bool("preempt", false, "enable preemption")

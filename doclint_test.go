@@ -2,6 +2,9 @@ package repro
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -99,5 +102,90 @@ func TestDocPathsExist(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("found no cmd/ or results/ paths in the docs — the scan regex is broken")
+	}
+}
+
+// docIdentRe matches a package-qualified exported Go name, `pkg.Name`, the
+// way the docs quote one inside a code span: `wire.Server`,
+// `core.PlanStarts(p, now, free, pending)`. Lower-case second halves are
+// benchmark metric names (`wire.codec.bid_encode_ns`), not identifiers.
+var docIdentRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
+
+// docCodeSpanRe matches one backticked code span.
+var docCodeSpanRe = regexp.MustCompile("`[^`]+`")
+
+// declaredNames parses the non-test Go files of one package directory and
+// returns every name declared at the top level: funcs, methods, types,
+// consts, and vars.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						names[sp.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestDocIdentifiersExist fails if README.md or DESIGN.md quotes a
+// `pkg.Name` whose pkg is a directory under internal/ but whose Name that
+// package no longer declares. A deleted API must take its paragraph with
+// it.
+func TestDocIdentifiersExist(t *testing.T) {
+	declared := map[string]map[string]bool{} // package -> names, parsed on first use
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range bytes.Split(src, []byte("\n")) {
+			for _, span := range docCodeSpanRe.FindAll(line, -1) {
+				for _, m := range docIdentRe.FindAllSubmatch(span, -1) {
+					pkg, name := string(m[1]), string(m[2])
+					dir := filepath.Join("internal", pkg)
+					if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+						continue // fmt.Errorf, json.Marshal, ...: not ours
+					}
+					if declared[pkg] == nil {
+						declared[pkg] = declaredNames(t, dir)
+					}
+					checked++
+					if !declared[pkg][name] {
+						t.Errorf("%s:%d: quotes `%s.%s`, which internal/%s does not declare", doc, i+1, pkg, name, pkg)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no internal pkg.Name references in the docs — the scan regex is broken")
 	}
 }

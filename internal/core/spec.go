@@ -12,7 +12,7 @@ import (
 //
 //	name[:key=value,...,flag,...]
 //
-// e.g. "fcfs", "pv:rate=0.01", "firstreward:alpha=0.8,rate=0.01,general".
+// e.g. "fcfs", "pv:rate=0.01", "firstreward:alpha=0.8,rate=0.01".
 // Names, keys, and flags are case-insensitive; values keep their case.
 // SplitSpec performs the purely syntactic split; ParseSpec (and its
 // sibling admission.ParseSpec) interpret the result.
@@ -125,11 +125,12 @@ func allowedList(list []string) string {
 //	fcfs | srpt | swpt
 //	firstprice | fp
 //	pv[:rate=R] | presentvalue[:rate=R]
-//	firstreward[:alpha=A,rate=R[,general]] | fr[...]
+//	firstreward[:alpha=A,rate=R] | fr[...]
 //	scheduledprice[:procs=P,rounds=K]
 //
-// Defaults: rate 0.01, alpha 0.3 (the paper's headline configuration);
-// the "general" flag forces the O(n²) Eq. 4 ablation path.
+// Defaults: rate 0.01, alpha 0.3 (the paper's headline configuration). No
+// policy takes a flag: FirstReward's O(n²) Eq. 4 path (ForceGeneralCost) is
+// a test reference, set in code, never from a spec.
 func ParseSpec(spec string) (Policy, error) {
 	sp, err := SplitSpec(spec)
 	if err != nil {
@@ -154,7 +155,7 @@ func ParseSpec(spec string) (Policy, error) {
 		}
 		return PresentValue{DiscountRate: rate}, nil
 	case "firstreward", "fr":
-		if err := sp.Check([]string{"alpha", "rate"}, []string{"general"}); err != nil {
+		if err := sp.Check([]string{"alpha", "rate"}, nil); err != nil {
 			return nil, err
 		}
 		alpha, err := sp.Float("alpha", 0.3)
@@ -165,7 +166,7 @@ func ParseSpec(spec string) (Policy, error) {
 		if err != nil {
 			return nil, err
 		}
-		return FirstReward{Alpha: alpha, DiscountRate: rate, ForceGeneralCost: sp.Flags["general"]}, nil
+		return FirstReward{Alpha: alpha, DiscountRate: rate}, nil
 	case "scheduledprice":
 		if err := sp.Check([]string{"procs", "rounds"}, nil); err != nil {
 			return nil, err
@@ -180,6 +181,6 @@ func ParseSpec(spec string) (Policy, error) {
 		}
 		return ScheduledPrice{Processors: procs, Rounds: rounds}, nil
 	default:
-		return nil, fmt.Errorf("core: unknown policy %q (want fcfs | srpt | swpt | firstprice | pv[:rate=] | firstreward[:alpha=,rate=,general] | scheduledprice[:procs=,rounds=])", sp.Name)
+		return nil, fmt.Errorf("core: unknown policy %q (want fcfs | srpt | swpt | firstprice | pv[:rate=] | firstreward[:alpha=,rate=] | scheduledprice[:procs=,rounds=])", sp.Name)
 	}
 }

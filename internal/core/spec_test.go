@@ -24,7 +24,7 @@ func TestParseSpecPolicies(t *testing.T) {
 		{"firstreward", FirstReward{Alpha: 0.3, DiscountRate: 0.01}},
 		{"fr:alpha=0.8", FirstReward{Alpha: 0.8, DiscountRate: 0.01}},
 		{"firstreward:alpha=0.5", FirstReward{Alpha: 0.5, DiscountRate: 0.01}},
-		{"FirstReward:Alpha=0.8,Rate=0.02,General", FirstReward{Alpha: 0.8, DiscountRate: 0.02, ForceGeneralCost: true}},
+		{"FirstReward:Alpha=0.8,Rate=0.02", FirstReward{Alpha: 0.8, DiscountRate: 0.02}},
 		{"scheduledprice", ScheduledPrice{}},
 		{"scheduledprice:procs=8,rounds=3", ScheduledPrice{Processors: 8, Rounds: 3}},
 	}
@@ -52,6 +52,8 @@ func TestParseSpecErrors(t *testing.T) {
 		{"fcfs:rate=1", "unknown parameter"},
 		{"firstreward:aplha=0.8", "unknown parameter"},
 		{"firstreward:bogusflag", "unknown flag"},
+		{"FirstReward:Alpha=0.8,Rate=0.02,General", "unknown flag"},
+		{"firstreward:general", "unknown flag"},
 		{"pv:rate=abc", "not a number"},
 		{"pv:rate=1,rate=2", "duplicate parameter"},
 		{"firstreward:general,general", "duplicate flag"},

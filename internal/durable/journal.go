@@ -1,8 +1,7 @@
 // Package durable implements crash-safe persistence for a task-service
 // site: a write-ahead journal of framed, checksummed records with segment
-// rotation and a configurable fsync policy, plus point-in-time snapshots
-// that bound replay work. It has no dependencies outside the standard
-// library.
+// rotation and a configurable fsync policy. It has no dependencies outside
+// the standard library.
 //
 // The durability contract is the one market contracts demand (Section 6 of
 // the paper): once Append returns under FsyncAlways — or Sync returns under
@@ -16,7 +15,6 @@
 // On-disk layout, all within one data directory:
 //
 //	wal-%016d.log   journal segment; the number is the index of its first record
-//	snap-%016d.dat  snapshot covering records [0, index)
 //	CLEAN           marker written by Close; its absence at Open means a crash
 //
 // Each record is framed as
@@ -71,7 +69,7 @@ const (
 	// FsyncInterval syncs when an Append observes FsyncEvery elapsed since
 	// the previous sync. A crash can lose up to one interval of records.
 	FsyncInterval
-	// FsyncNever syncs only on rotation, snapshot, and Close, trusting the
+	// FsyncNever syncs only on rotation and Close, trusting the
 	// kernel to write back dirty pages. Cheapest, weakest.
 	FsyncNever
 )
@@ -147,15 +145,8 @@ func (o Options) fsyncEvery() time.Duration {
 
 // Recovery summarizes what Open found on disk.
 type Recovery struct {
-	// Records is the total number of intact records across all segments,
-	// including those covered by the snapshot.
+	// Records is the total number of intact records across all segments.
 	Records uint64
-	// SnapshotIndex is the number of records the loaded snapshot covers;
-	// zero when no snapshot was found. Replay yields records from this
-	// index on.
-	SnapshotIndex uint64
-	// Snapshot is the loaded snapshot payload, nil when none was found.
-	Snapshot []byte
 	// TruncatedBytes is the size of the torn tail removed from the last
 	// segment, zero on a clean journal.
 	TruncatedBytes int64
@@ -217,9 +208,8 @@ type Journal struct {
 
 // Open creates or recovers the journal in dir, creating the directory if
 // needed. It scans every segment, truncates a torn tail on the final one,
-// loads the newest intact snapshot, consumes the clean-shutdown marker,
-// and positions appends after the last durable record. The Recovery result
-// is available from Journal.Recovery.
+// consumes the clean-shutdown marker, and positions appends after the last
+// durable record. The Recovery result is available from Journal.Recovery.
 func Open(dir string, opts Options) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -239,14 +229,10 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 	j.rec.Segments = len(segs)
 
-	// Compaction may have removed leading segments covered by a snapshot,
-	// so the record sequence on disk starts at the first segment's index,
-	// not necessarily zero. The gap must be covered by a snapshot, which
-	// is validated after the snapshot is loaded below.
+	// Nothing ever removes a segment, so the record sequence on disk starts
+	// at zero and each segment picks up where the previous one ended; a
+	// gap means records were lost.
 	index := uint64(0)
-	if len(segs) > 0 {
-		index = segs[0].first
-	}
 	for i := range segs {
 		if segs[i].first != index {
 			return nil, fmt.Errorf("%w: segment %s starts at record %d, want %d",
@@ -272,17 +258,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 	j.segments = segs
 	j.next = index
 	j.rec.Records = index
-
-	snapIndex, snapPayload, err := loadLatestSnapshot(dir, index)
-	if err != nil {
-		return nil, err
-	}
-	j.rec.SnapshotIndex = snapIndex
-	j.rec.Snapshot = snapPayload
-	if len(segs) > 0 && segs[0].first > snapIndex {
-		return nil, fmt.Errorf("%w: records [%d, %d) compacted away but no snapshot covers them",
-			ErrCorrupt, snapIndex, segs[0].first)
-	}
 
 	if len(segs) == 0 {
 		if err := j.rotateLocked(); err != nil {
@@ -558,26 +533,17 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// Replay streams the durable records from the snapshot index onward, in
-// append order, calling fn with each record's index and payload. The
-// payload slice is reused between calls; fn must copy it to retain it.
-// Replay reads its own file handles, so it may run before or after
-// appends, but records appended after Open are replayed too — call it
-// during recovery, before resuming writes.
+// Replay streams every durable record, in append order, calling fn with
+// each record's index and payload. The payload slice is reused between
+// calls; fn must copy it to retain it. Replay reads its own file handles,
+// so it may run before or after appends, but records appended after Open
+// are replayed too — call it during recovery, before resuming writes.
 func (j *Journal) Replay(fn func(index uint64, payload []byte) error) error {
 	j.mu.Lock()
 	segs := append([]segment(nil), j.segments...)
-	from := j.rec.SnapshotIndex
 	j.mu.Unlock()
-	return replaySegments(segs, from, fn)
-}
-
-func replaySegments(segs []segment, from uint64, fn func(uint64, []byte) error) error {
 	var buf []byte
 	for _, seg := range segs {
-		if seg.first+seg.count <= from {
-			continue
-		}
 		f, err := os.Open(seg.path)
 		if err != nil {
 			return err
@@ -593,11 +559,9 @@ func replaySegments(segs []segment, from uint64, fn func(uint64, []byte) error) 
 				f.Close()
 				return err
 			}
-			if index >= from {
-				if err := fn(index, payload); err != nil {
-					f.Close()
-					return err
-				}
+			if err := fn(index, payload); err != nil {
+				f.Close()
+				return err
 			}
 			index++
 			if index >= seg.first+seg.count {

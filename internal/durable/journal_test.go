@@ -2,13 +2,14 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// collect replays a journal's post-snapshot records into memory.
+// collect replays a journal's records into memory.
 func collect(t *testing.T, j *Journal) [][]byte {
 	t.Helper()
 	var recs [][]byte
@@ -110,96 +111,6 @@ func TestSegmentRotation(t *testing.T) {
 	// Appends continue with monotonically increasing indexes.
 	if idx, err := j2.Append([]byte("after-restart")); err != nil || idx != 40 {
 		t.Fatalf("post-restart append index = %d, err = %v; want 40", idx, err)
-	}
-}
-
-func TestSnapshotBoundsReplayAndCompacts(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentBytes: 128, Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if _, err := j.Append([]byte(fmt.Sprintf("pre-snapshot-record-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.SaveSnapshot([]byte("state-after-30")); err != nil {
-		t.Fatal(err)
-	}
-	for i := 30; i < 40; i++ {
-		if _, err := j.Append([]byte(fmt.Sprintf("post-snapshot-record-%02d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := Open(dir, Options{SegmentBytes: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	rec := j2.Recovery()
-	if rec.SnapshotIndex != 30 {
-		t.Fatalf("snapshot index = %d, want 30", rec.SnapshotIndex)
-	}
-	if string(rec.Snapshot) != "state-after-30" {
-		t.Fatalf("snapshot payload = %q", rec.Snapshot)
-	}
-	got := collect(t, j2)
-	if len(got) != 10 {
-		t.Fatalf("replayed %d post-snapshot records, want 10", len(got))
-	}
-	if string(got[0]) != "post-snapshot-record-30" {
-		t.Fatalf("first replayed record = %q", got[0])
-	}
-	// Compaction must have dropped fully covered segments but kept every
-	// record from the snapshot on.
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs[0].first > 30 {
-		t.Fatalf("compaction dropped records before the snapshot boundary: first segment starts at %d", segs[0].first)
-	}
-}
-
-func TestCorruptSnapshotFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := j.Append([]byte("r")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.SaveSnapshot([]byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the snapshot in place: its checksum no longer matches, so
-	// recovery must ignore it and replay the journal from the start
-	// instead of trusting a bad payload.
-	if err := os.WriteFile(filepath.Join(dir, "snap-0000000000000005.dat"), []byte{0, 0, 0, 0, 'x'}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	rec := j2.Recovery()
-	if rec.Snapshot != nil || rec.SnapshotIndex != 0 {
-		t.Fatalf("recovered corrupt snapshot: %+v", rec)
-	}
-	if got := len(collect(t, j2)); got != 5 {
-		t.Fatalf("replayed %d records without snapshot, want 5", got)
 	}
 }
 
@@ -328,37 +239,53 @@ func TestTornTailEveryOffset(t *testing.T) {
 	}
 }
 
-// TestCorruptionBeforeTailRefuses verifies that a bad frame with valid
-// segments after it is reported as corruption, not silently truncated.
+// TestCorruptionBeforeTailRefuses verifies that damage truncation cannot
+// repair — a bad frame with valid segments after it, or a journal whose
+// leading records are gone — is reported as corruption, not silently
+// dropped.
 func TestCorruptionBeforeTailRefuses(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Open(dir, Options{SegmentBytes: 32, Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, segs []segment)
+	}{
+		{"payload byte flipped in the first segment", func(t *testing.T, segs []segment) {
+			b, err := os.ReadFile(segs[0].path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[frameHeader+2] ^= 0xff
+			if err := os.WriteFile(segs[0].path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"first segment starts past record 0", func(t *testing.T, segs []segment) {
+			if err := os.Remove(segs[0].path); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := j.Append([]byte(fmt.Sprintf("a-long-enough-record-%d", i))); err != nil {
+	for _, tc := range cases {
+		dir := t.TempDir()
+		j, err := Open(dir, Options{SegmentBytes: 32, Fsync: FsyncNever})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := listSegments(dir)
-	if err != nil || len(segs) < 2 {
-		t.Fatalf("need >= 2 segments, got %d (err %v)", len(segs), err)
-	}
-	// Flip a payload byte in the FIRST segment.
-	b, err := os.ReadFile(segs[0].path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[frameHeader+2] ^= 0xff
-	if err := os.WriteFile(segs[0].path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("corruption before the tail was accepted")
+		for i := 0; i < 10; i++ {
+			if _, err := j.Append([]byte(fmt.Sprintf("a-long-enough-record-%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(dir)
+		if err != nil || len(segs) < 2 {
+			t.Fatalf("need >= 2 segments, got %d (err %v)", len(segs), err)
+		}
+		tc.damage(t, segs)
+		if _, err := Open(dir, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Open = %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 

@@ -181,7 +181,7 @@ func (l *Ledger) Open(e LedgerEntry) {
 	l.totals.Open++
 	l.totals.ExpectedYield += e.QuotedPrice
 	l.totals.Exposure += e.QuotedPrice
-	l.compactLocked()
+	l.evictLocked()
 	l.publishLocked()
 }
 
@@ -235,11 +235,11 @@ func (l *Ledger) Settle(taskID uint64, outcome string, at, realized float64) boo
 	return true
 }
 
-// compactLocked enforces the retention bound: when the window overflows,
+// evictLocked enforces the retention bound: when the window overflows,
 // the oldest closed entries are dropped (open entries always survive — the
 // exposure they carry is live). Compaction runs with slack so it costs
 // O(capacity) only once per capacity/4 appends.
-func (l *Ledger) compactLocked() {
+func (l *Ledger) evictLocked() {
 	if len(l.entries) <= l.capacity+l.capacity/4 {
 		return
 	}

@@ -67,9 +67,9 @@ type Event struct {
 	Value   float64 // kind-specific: realized yield (complete/park), slack (submit/reject), RPT (start/preempt)
 
 	// Task is the subject of a task-lifecycle event, nil for telemetry
-	// events. Recorders needing the full bid tuple (e.g. the durability
-	// journal, which must be able to reconstruct the task on replay) read
-	// it here; they must not mutate or retain it past the call.
+	// events. Recorders needing the full bid tuple (e.g. the contract
+	// ledger, which books the bid's value, cohort and client) read it
+	// here; they must not mutate or retain it past the call.
 	Task *task.Task
 
 	// ExpectedYield and ExpectedCompletion carry the admission quote's

@@ -136,7 +136,6 @@ type Site struct {
 	pending []*task.Task
 	running map[task.ID]*execution
 	free    int
-	parked  []*task.Task
 
 	recorder   Recorder
 	onComplete []func(*task.Task)
@@ -396,7 +395,6 @@ func (s *Site) park(t *task.Task, now float64) {
 	t.State = task.Completed
 	t.Completion = now
 	t.Yield = -t.Bound
-	s.parked = append(s.parked, t)
 	s.record(EventPark, t, t.Yield)
 	s.recordOutcome(t, now)
 }

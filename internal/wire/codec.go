@@ -133,7 +133,7 @@ func (jsonCodec) Read(br *bufio.Reader, max int, scratch *[]byte, e *Envelope) e
 }
 
 // decodeJSONEnvelope parses one JSON line into e. It is the decode half
-// of the JSON codec; the deprecated package-level Unmarshal wraps it.
+// of the JSON codec.
 func decodeJSONEnvelope(line []byte, e *Envelope) error {
 	*e = Envelope{}
 	if err := json.Unmarshal(line, e); err != nil {

@@ -173,33 +173,6 @@ func TestBinaryDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestMarshalUnmarshalAreJSONCodec pins the deprecated package-level
-// helpers as thin wrappers: byte-identical encoding and identical decode
-// results, so external callers see no behavior change.
-func TestMarshalUnmarshalAreJSONCodec(t *testing.T) {
-	jc, _ := CodecByName(CodecJSON)
-	for _, e := range codecTestEnvelopes() {
-		viaCodec, err := jc.Append(nil, &e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaMarshal, err := Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(viaCodec, viaMarshal) {
-			t.Fatalf("Marshal diverges from JSON codec:\n%q\n%q", viaMarshal, viaCodec)
-		}
-		got, err := Unmarshal(viaMarshal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, codecRoundTrip(t, jc, e)) {
-			t.Fatalf("Unmarshal diverges from JSON codec on %+v", e)
-		}
-	}
-}
-
 // TestBinaryEncodeAllocs is the zero-allocation guard on the binary
 // codec's hot envelopes: with a warm scratch buffer, encoding a bid and a
 // quote reply must not allocate. Skipped under the race detector, whose
@@ -237,7 +210,7 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 // encoder too.
 func FuzzCodecDifferential(f *testing.F) {
 	for _, e := range codecTestEnvelopes() {
-		if line, err := Marshal(e); err == nil {
+		if line, err := (jsonCodec{}).Append(nil, &e); err == nil {
 			f.Add(line)
 		}
 	}

@@ -10,91 +10,54 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/durable"
 	"repro/internal/obs"
+	"repro/internal/sim"
+	"repro/internal/site"
 	"repro/internal/task"
 )
 
-// TestServerDifferentialLegacyVsConcurrent runs one deterministic request
-// script against a legacyLocked server and a concurrent (snapshot +
-// group-commit) server and demands the same decision sequence: the same
-// accepts, rejects, duplicate-award answers, and query states. Quoted
-// floats are wall-clock dependent and are not compared; the decisions are
-// driven by queue backlog in steps of whole task runtimes, which dwarf the
-// microseconds of clock skew between the two runs.
-func TestServerDifferentialLegacyVsConcurrent(t *testing.T) {
-	script := func(t *testing.T, legacy bool) (decisions []string, accepted, rejected, completed int) {
-		t.Helper()
-		srv := startServer(t, ServerConfig{
-			Processors:   1,
-			TimeScale:    time.Millisecond,
-			Admission:    admission.SlackThreshold{Threshold: -150},
-			DataDir:      t.TempDir(),
-			Fsync:        durable.FsyncAlways,
-			legacyLocked: legacy,
-		})
-		c := dialServer(t, srv)
-		var settleWG sync.WaitGroup
-		c.SetOnSettled(func(Envelope) { settleWG.Done() })
+// TestServerDecisionsMatchSimulator pins the live server's admission
+// decisions to the sequential definition of Sections 4-6: site.Site under
+// the virtual clock, which shares no handler code with the server. The
+// backlog script's decision sequence and final counts must equal what the
+// simulated site decides when the same twelve tasks are submitted at
+// virtual time 0. The live script's wall-clock progress (milliseconds)
+// stays inside the 50-unit margin shardScript builds into the threshold,
+// so an instantaneous submission sees the same side of every decision.
+func TestServerDecisionsMatchSimulator(t *testing.T) {
+	liveDec, la, lr, lc := shardScript(t, 1, CodecJSON)
 
-		// Each awarded task adds 100 units (100ms) of backlog on the single
-		// processor, stepping the quoted slack down by 100 per award (value
-		// 1000, decay 2 → slack = 500 - backlog), so the -150 threshold
-		// flips from accept to reject mid-script with a 50-unit (50ms)
-		// margin — far beyond the clock skew between the two runs.
-		for i := 1; i <= 12; i++ {
-			bid := testBid(task.ID(i), 100)
-			bid.Decay = 2
-			sb, ok, err := c.Propose(bid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				decisions = append(decisions, fmt.Sprintf("propose %d: reject", i))
-				continue
-			}
-			decisions = append(decisions, fmt.Sprintf("propose %d: ok", i))
-			settleWG.Add(1)
-			if _, ok, err = c.Award(bid, sb); err != nil {
-				t.Fatal(err)
-			} else if !ok {
-				settleWG.Done()
-				decisions = append(decisions, fmt.Sprintf("award %d: reject", i))
-				continue
-			}
-			decisions = append(decisions, fmt.Sprintf("award %d: ok", i))
-			// Duplicate award: must come back as the standing contract.
-			if _, ok, err = c.Award(bid, sb); err != nil || !ok {
-				t.Fatalf("duplicate award %d = %v %v", i, ok, err)
-			}
-			st, err := c.Query(task.ID(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decisions = append(decisions, fmt.Sprintf("query %d: %s", i, st.State))
+	eng := sim.New()
+	oracle := site.New(eng, "oracle", site.Config{
+		Processors: 1,
+		Policy:     scriptPolicy,
+		Admission:  scriptAdmission,
+	})
+	var simDec []string
+	for i := 1; i <= 12; i++ {
+		bid := scriptBid(task.ID(i))
+		_, ok, err := oracle.Submit(task.New(bid.TaskID, 0, bid.Runtime, bid.Value, bid.Decay, bid.Bound))
+		if err != nil {
+			t.Fatal(err)
 		}
-		settleWG.Wait()
-		srv.mu.Lock()
-		accepted, rejected, completed = srv.Accepted, srv.Rejected, srv.Completed
-		srv.mu.Unlock()
-		book := srv.countBook()
-		openContracts := book.prices
-		unsynced := book.unsynced
-		if openContracts != 0 || unsynced != 0 {
-			t.Fatalf("book not drained: %d open, %d unsynced", openContracts, unsynced)
+		if !ok {
+			simDec = append(simDec, fmt.Sprintf("propose %d: reject", i))
+			continue
 		}
-		return decisions, accepted, rejected, completed
+		simDec = append(simDec,
+			fmt.Sprintf("propose %d: ok", i), fmt.Sprintf("award %d: ok", i), fmt.Sprintf("query %d: open", i))
 	}
+	eng.Run()
+	m := oracle.Metrics()
 
-	legacyDec, la, lr, lc := script(t, true)
-	concDec, ca, cr, cc := script(t, false)
-	if strings.Join(legacyDec, "\n") != strings.Join(concDec, "\n") {
-		t.Fatalf("decision sequences diverge:\nlegacy:\n%s\nconcurrent:\n%s",
-			strings.Join(legacyDec, "\n"), strings.Join(concDec, "\n"))
+	if strings.Join(simDec, "\n") != strings.Join(liveDec, "\n") {
+		t.Fatalf("decision sequences diverge:\nsimulator:\n%s\nserver:\n%s",
+			strings.Join(simDec, "\n"), strings.Join(liveDec, "\n"))
 	}
-	if la != ca || lr != cr || lc != cc {
-		t.Fatalf("stats diverge: legacy %d/%d/%d, concurrent %d/%d/%d", la, lr, lc, ca, cr, cc)
+	if m.Accepted != la || m.Rejected != lr || m.Completed != lc {
+		t.Fatalf("stats diverge: simulator %d/%d/%d, server %d/%d/%d",
+			m.Accepted, m.Rejected, m.Completed, la, lr, lc)
 	}
 	if la == 0 || lr == 0 {
 		t.Fatalf("script exercised only one decision: accepted %d, rejected %d", la, lr)
@@ -314,8 +277,8 @@ func TestOversizedFrameKeepsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Unmarshal([]byte(line))
-	if err != nil {
+	var env Envelope
+	if err := decodeJSONEnvelope([]byte(line), &env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Type != TypeError || !strings.Contains(env.Reason, "size limit") {
@@ -326,7 +289,8 @@ func TestOversizedFrameKeepsConnection(t *testing.T) {
 	}
 
 	// The same connection still serves the protocol.
-	b, err := Marshal(BidEnvelope(testBid(7, 5)))
+	bid := BidEnvelope(testBid(7, 5))
+	b, err := jsonCodec{}.Append(nil, &bid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +301,7 @@ func TestOversizedFrameKeepsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err = Unmarshal([]byte(line))
-	if err != nil {
+	if err := decodeJSONEnvelope([]byte(line), &env); err != nil {
 		t.Fatal(err)
 	}
 	if env.Type != TypeServerBid {
@@ -371,7 +334,7 @@ func TestClientOversizedReply(t *testing.T) {
 		if _, err := br.ReadString('\n'); err != nil {
 			return
 		}
-		b, _ := Marshal(Envelope{Type: TypeServerBid, TaskID: 9, SiteID: "fake", ExpectedPrice: 1})
+		b, _ := jsonCodec{}.Append(nil, &Envelope{Type: TypeServerBid, TaskID: 9, SiteID: "fake", ExpectedPrice: 1})
 		conn.Write(b)
 	}()
 
@@ -414,29 +377,5 @@ func TestReadFrame(t *testing.T) {
 	}
 	if _, err := readFrame(br, 256, &buf); err == nil {
 		t.Fatal("want io.EOF at end of stream")
-	}
-}
-
-// TestWriteEnvelopeMatchesMarshal proves the pooled encoder emits exactly
-// the bytes Marshal does — same JSON, same newline framing — so switching
-// the send paths to the pool cannot change the protocol.
-func TestWriteEnvelopeMatchesMarshal(t *testing.T) {
-	envs := []Envelope{
-		{Type: TypeBid, TaskID: 1, Runtime: 12.5, Value: 99, Decay: 0.5, Bound: "inf"},
-		{Type: TypeError, Reason: `quotes "and" <angles> & ampersands`},
-		{Type: TypeSettled, TaskID: 42, SiteID: "s", CompletedAt: 3.25, FinalPrice: -1.5},
-	}
-	for _, e := range envs {
-		want, err := Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if err := writeEnvelope(&got, e); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("writeEnvelope = %q, Marshal = %q", got.Bytes(), want)
-		}
 	}
 }

@@ -88,19 +88,16 @@ func (s *Server) pushDigests(sc *serverConn, interval time.Duration, stop chan s
 // which is the waiting-time estimate a router needs to price a placement.
 func (s *Server) digest(interval time.Duration) Envelope {
 	var backlog float64
-	// The locked test reference publishes no snapshots; its digests carry
-	// the counts but a zero horizon.
-	if snap, _ := s.mergedSnapshot(); snap != nil {
-		now := s.now()
-		for _, rel := range snap.BusyUntil(now) {
-			backlog += rel - now
-		}
-		for _, t := range snap.Pending {
-			backlog += t.Runtime
-		}
-		if snap.Procs > 0 {
-			backlog /= float64(snap.Procs)
-		}
+	snap, _ := s.mergedSnapshot()
+	now := s.now()
+	for _, rel := range snap.BusyUntil(now) {
+		backlog += rel - now
+	}
+	for _, t := range snap.Pending {
+		backlog += t.Runtime
+	}
+	if snap.Procs > 0 {
+		backlog /= float64(snap.Procs)
 	}
 	queued := int(s.nQueued.Load())
 	// The valve starts shedding by value at half the book cap — the same

@@ -78,13 +78,12 @@ func (s *Server) appendRecord(shard int, r contractRecord) error {
 }
 
 // appendRecordIdx journals r on the shard's stream and returns its index
-// for a later durable.SyncBarrier. In the concurrent server the append is
-// batched — FsyncAlways durability is deferred to the caller's barrier so
-// concurrent awards share one fsync; legacy mode keeps the inline
-// per-record sync. The shard tag feeds the journal's per-round stream
-// accounting (how many shards each group-commit round covered); it does
-// not change durability or recovery. journaled is false when the server
-// runs without a journal.
+// for a later durable.SyncBarrier. The append is batched — FsyncAlways
+// durability is deferred to the caller's barrier so concurrent awards share
+// one fsync. The shard tag feeds the journal's per-round stream accounting
+// (how many shards each group-commit round covered); it does not change
+// durability or recovery. journaled is false when the server runs without
+// a journal.
 func (s *Server) appendRecordIdx(shard int, r contractRecord) (idx uint64, journaled bool, err error) {
 	if s.j == nil {
 		return 0, false, nil
@@ -93,11 +92,7 @@ func (s *Server) appendRecordIdx(shard int, r contractRecord) (idx uint64, journ
 	if err != nil {
 		return 0, false, err
 	}
-	if s.cfg.legacyLocked {
-		idx, err = s.j.Append(b)
-	} else {
-		idx, err = s.j.AppendBatchedStream(shard, b)
-	}
+	idx, err = s.j.AppendBatchedStream(shard, b)
 	return idx, err == nil, err
 }
 

@@ -3,7 +3,9 @@ package wire
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -332,6 +334,159 @@ func TestJournalTimescaleMismatchRefused(t *testing.T) {
 		DataDir: dir, TimeScale: 2 * time.Millisecond,
 	}); err == nil {
 		t.Fatal("timescale mismatch accepted")
+	}
+}
+
+// TestContractJournalTornTailEveryOffset is the crash-consistency property
+// of the one journal the service keeps: a real contract journal truncated
+// at EVERY byte offset must open, fold, and equal the fold of exactly the
+// whole records that survive — a clean prefix of the pre-crash history,
+// never a corrupt or half-applied book. At every record boundary and a
+// sample of mid-record offsets a server additionally recovers from the
+// truncated journal, at 1 and 4 shards, and must hold exactly that book.
+func TestContractJournalTornTailEveryOffset(t *testing.T) {
+	// A small real journal covering every record kind a live site writes:
+	// eight contracts that run and settle, two left running, and four
+	// queued ones abandoned by their client's disconnect.
+	master := t.TempDir()
+	srv := startServer(t, ServerConfig{Processors: 2, Shards: 4, DataDir: master})
+	c := dialServer(t, srv)
+	var settleWG sync.WaitGroup
+	c.SetOnSettled(func(Envelope) { settleWG.Done() })
+	for id := task.ID(1); id <= 8; id++ {
+		settleWG.Add(1)
+		awardTask(t, c, id, 2)
+	}
+	settleWG.Wait()
+	awardTask(t, c, 9, 50000)
+	awardTask(t, c, 10, 50000)
+	c2, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := task.ID(11); id <= 14; id++ {
+		awardTask(t, c2, id, 50000)
+	}
+	c2.Close()
+	waitFor(t, "the disconnected client's 4 queued tasks to be abandoned", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.Abandoned == 4
+	})
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, err := filepath.Glob(filepath.Join(master, "wal-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, got %v (err %v)", segs, err)
+	}
+	segName := filepath.Base(segs[0])
+	full, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mj, err := durable.Open(master, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payloads [][]byte
+	err = mj.Replay(func(_ uint64, p []byte) error {
+		payloads = append(payloads, append([]byte(nil), p...))
+		return nil
+	})
+	mj.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// want[n] is the fold of the first n records, taken from a journal that
+	// was never torn; ends[n] is the byte offset where record n-1 ends, so a
+	// cut in [ends[n], ends[n+1]) must recover exactly n records.
+	want := make([]*recoveredBook, len(payloads)+1)
+	ends := make([]int, len(payloads)+1)
+	pj, err := durable.Open(t.TempDir(), durable.Options{Fsync: durable.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pj.Close()
+	for n := 0; ; n++ {
+		if want[n], err = foldJournal(pj); err != nil {
+			t.Fatalf("fold of the first %d records: %v", n, err)
+		}
+		if n == len(payloads) {
+			break
+		}
+		if _, err := pj.Append(payloads[n]); err != nil {
+			t.Fatal(err)
+		}
+		ends[n+1] = ends[n] + 8 + len(payloads[n]) // durable's frame: length, CRC, payload
+	}
+	if last := want[len(payloads)]; len(payloads) < 30 || len(last.done) != 8 || len(last.open) != 2 || len(last.closed) != 12 {
+		t.Fatalf("journal of %d records folds to %d settled, %d open, %d closed; want 8, 2, 12",
+			len(payloads), len(last.done), len(last.open), len(last.closed))
+	}
+	if ends[len(payloads)] != len(full) {
+		t.Fatalf("records end at byte %d, segment holds %d", ends[len(payloads)], len(full))
+	}
+
+	cutDir := t.TempDir()
+	n := 0
+	for cut := 0; cut <= len(full); cut++ {
+		if n < len(payloads) && cut == ends[n+1] {
+			n++
+		}
+		if err := os.WriteFile(filepath.Join(cutDir, segName), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := durable.Open(cutDir, durable.Options{})
+		if err != nil {
+			t.Fatalf("cut %d: open: %v", cut, err)
+		}
+		if records := j.Recovery().Records; int(records) != n {
+			t.Fatalf("cut %d: recovered %d records, want the %d whole ones", cut, records, n)
+		}
+		got, err := foldJournal(j)
+		j.Close()
+		if err != nil {
+			t.Fatalf("cut %d: fold: %v", cut, err)
+		}
+		if !reflect.DeepEqual(got, want[n]) {
+			t.Fatalf("cut %d (%d records): recovered book is not the clean prefix:\ngot  %+v\nwant %+v", cut, n, got, want[n])
+		}
+		if cut != ends[n] && cut%397 != 0 {
+			continue
+		}
+		for _, shards := range []int{1, 4} {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segName), full[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rs := startServer(t, ServerConfig{Processors: 2, Shards: shards, DataDir: dir})
+			rs.mu.Lock()
+			accepted := rs.Accepted
+			rs.mu.Unlock()
+			// A recovered short task may already have re-run and settled;
+			// open and settled contracts together are what must add up.
+			book := rs.countBook()
+			if accepted != len(want[n].open) || book.prices+book.settled != len(want[n].open)+len(want[n].done) {
+				t.Fatalf("cut %d, %d shards: recovered %d open contracts into a book of %+v; journal prefix holds %d open, %d settled",
+					cut, shards, accepted, book, len(want[n].open), len(want[n].done))
+			}
+			if err := rs.Close(); err != nil {
+				t.Fatalf("cut %d, %d shards: close: %v", cut, shards, err)
+			}
+		}
+	}
+}
+
+// waitFor polls until ok reports true, failing the test after 5 seconds.
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/task"
 	"repro/internal/wire/faultconn"
 )
@@ -178,6 +179,51 @@ func TestClientVanishesMidContract(t *testing.T) {
 				owners, prices, pending, completed, abandoned)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestDisconnectWithoutQueuedTaskPublishesNothing checks that a closing
+// connection republishes a shard only when a queued task actually left it:
+// an idle client, and one whose only contract is already running, change
+// no scheduling state, so neither may deep-copy the book again or flip
+// in-flight optimistic awards to a validation mismatch.
+func TestDisconnectWithoutQueuedTaskPublishesNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv := startServer(t, ServerConfig{SiteID: "d1", Processors: 1, Shards: 4,
+		TimeScale: time.Millisecond, Metrics: reg})
+	const long = 5000 // runtime far from finishing while the test runs
+	runner, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	awardTask(t, runner, 1, long) // occupies the processor
+	queuer := dialServer(t, srv)
+	awardTask(t, queuer, 2, long)
+	awardTask(t, queuer, 3, long)
+	const publishes = `site_quote_snapshot_publishes_total{site="d1"}`
+	before := promSamples(t, reg)[publishes]
+
+	idle, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the idle connection to register", func() bool {
+		return promSamples(t, reg)[`wire_connections{site="d1"}`] == 3
+	})
+	idle.Close()
+	waitFor(t, "the idle connection to drop", func() bool {
+		return promSamples(t, reg)[`wire_connections{site="d1"}`] == 2
+	})
+	// The runner's disconnect orphans task 1; its owner entry vanishing is
+	// the observable end of that connection's cleanup.
+	runner.Close()
+	waitFor(t, "the running task to be orphaned", func() bool { return srv.countBook().owners == 2 })
+
+	if book := srv.countBook(); book.pending != 2 || book.running != 1 {
+		t.Fatalf("book = %+v, want 2 queued and 1 running untouched", book)
+	}
+	if after := promSamples(t, reg)[publishes]; after != before {
+		t.Fatalf("%s moved %v -> %v on disconnects that removed no queued task", publishes, before, after)
 	}
 }
 

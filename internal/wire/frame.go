@@ -81,7 +81,7 @@ func readFrame(br *bufio.Reader, max int, buf *[]byte) ([]byte, error) {
 // encBuf is a pooled envelope encode buffer: the buffer and its bound JSON
 // encoder are reused across RPCs so the hot path does not allocate a fresh
 // marshal buffer per message. json.Encoder.Encode appends the trailing
-// newline itself, matching Marshal's framing exactly.
+// newline itself, which is the codec's line framing.
 type encBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -115,17 +115,4 @@ func releaseEncBuf(eb *encBuf) {
 	if eb.buf.Cap() <= maxPooledEncBuf {
 		encPool.Put(eb)
 	}
-}
-
-// writeEnvelope frames e as one JSON line and writes it to w through a
-// pooled encode buffer. Nothing is written on a marshal error, preserving
-// Marshal-then-write atomicity.
-func writeEnvelope(w io.Writer, e Envelope) error {
-	eb, err := encodeEnvelope(e)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(eb.buf.Bytes())
-	releaseEncBuf(eb)
-	return err
 }

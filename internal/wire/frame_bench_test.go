@@ -13,29 +13,34 @@ var benchEnvelope = Envelope{
 	ExpectedCompletion: 1234.5678, ExpectedPrice: 98.76, ReqID: "req-0000001",
 }
 
-// TestEncodeAllocsGuard pins the pooled encode path's steady-state
-// allocation budget. json.Encoder itself allocates a little per Encode
-// (field marshaling); the guard exists to catch a regression back to a
-// fresh buffer per envelope, which costs several allocations more.
+// TestEncodeAllocsGuard pins the served JSON encode path's steady-state
+// allocation budget: jsonCodec.Append into a connection's reused scratch
+// buffer, as serverConn.send does. json.Encoder itself allocates a little
+// per Encode (field marshaling); the guard exists to catch a regression
+// back to a fresh buffer per envelope, which costs several allocations
+// more.
 func TestEncodeAllocsGuard(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation adds allocations")
 	}
-	// Warm the pool so the steady state is measured.
+	// Warm the pool and the scratch buffer so the steady state is measured.
+	var buf []byte
+	var err error
 	for i := 0; i < 4; i++ {
-		if err := writeEnvelope(io.Discard, benchEnvelope); err != nil {
+		if buf, err = (jsonCodec{}).Append(buf[:0], &benchEnvelope); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := writeEnvelope(io.Discard, benchEnvelope); err != nil {
+		if buf, err = (jsonCodec{}).Append(buf[:0], &benchEnvelope); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Marshal-per-send costs ~4 allocs (buffer growth + byte-slice copy) on
-	// top of the encoder's own; the pooled path must stay under that.
+	// A fresh buffer per send costs ~4 allocs (buffer growth + byte-slice
+	// copy) on top of the encoder's own; the pooled path must stay under
+	// that.
 	if avg > 2 {
-		t.Fatalf("writeEnvelope allocates %.1f allocs/op, want <= 2 (pool regression)", avg)
+		t.Fatalf("jsonCodec.Append allocates %.1f allocs/op, want <= 2 (pool regression)", avg)
 	}
 }
 
@@ -61,34 +66,33 @@ func TestReadFrameAllocsGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkEnvelopeEncode compares the pooled encoder against Marshal, the
-// allocs/op columns being the point: the pool removes the per-send buffer.
+// BenchmarkEnvelopeEncode compares the JSON codec encoding into a reused
+// scratch buffer (the served path) against a fresh buffer per send, the
+// allocs/op columns being the point.
 func BenchmarkEnvelopeEncode(b *testing.B) {
-	b.Run("pooled", func(b *testing.B) {
+	b.Run("reused", func(b *testing.B) {
 		b.ReportAllocs()
+		var buf []byte
+		var err error
 		for i := 0; i < b.N; i++ {
-			if err := writeEnvelope(io.Discard, benchEnvelope); err != nil {
+			if buf, err = (jsonCodec{}).Append(buf[:0], &benchEnvelope); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("marshal", func(b *testing.B) {
+	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf, err := Marshal(benchEnvelope)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := io.Discard.Write(buf); err != nil {
+			if _, err := (jsonCodec{}).Append(nil, &benchEnvelope); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkFrameDecode measures the readFrame + Unmarshal inbound path.
+// BenchmarkFrameDecode measures the readFrame + JSON decode inbound path.
 func BenchmarkFrameDecode(b *testing.B) {
-	line, err := Marshal(benchEnvelope)
+	line, err := jsonCodec{}.Append(nil, &benchEnvelope)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +111,8 @@ func BenchmarkFrameDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Unmarshal(frame); err != nil {
+		var env Envelope
+		if err := decodeJSONEnvelope(frame, &env); err != nil {
 			b.Fatal(err)
 		}
 	}

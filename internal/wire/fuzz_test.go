@@ -4,12 +4,12 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshal hardens the protocol decoder: arbitrary bytes must never
-// panic, and any accepted envelope must re-marshal cleanly.
+// FuzzUnmarshal hardens the JSON protocol decoder: arbitrary bytes must
+// never panic, and any accepted envelope must re-encode cleanly.
 func FuzzUnmarshal(f *testing.F) {
-	seedBid, _ := Marshal(Envelope{Type: TypeBid, TaskID: 1, Runtime: 10, Value: 100, Decay: 1, Bound: "inf"})
+	seedBid, _ := jsonCodec{}.Append(nil, &Envelope{Type: TypeBid, TaskID: 1, Runtime: 10, Value: 100, Decay: 1, Bound: "inf"})
 	f.Add(seedBid)
-	seedAward, _ := Marshal(Envelope{Type: TypeAward, TaskID: 2, Runtime: 5, SiteID: "s", ExpectedCompletion: 12})
+	seedAward, _ := jsonCodec{}.Append(nil, &Envelope{Type: TypeAward, TaskID: 2, Runtime: 5, SiteID: "s", ExpectedCompletion: 12})
 	f.Add(seedAward)
 	f.Add([]byte(`{"type":"settled","task_id":1,"final_price":-3}`))
 	f.Add([]byte(`{}`))
@@ -17,15 +17,15 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte(`garbage`))
 
 	f.Fuzz(func(t *testing.T, line []byte) {
-		env, err := Unmarshal(line)
-		if err != nil {
+		var env Envelope
+		if err := decodeJSONEnvelope(line, &env); err != nil {
 			return
 		}
 		if env.Type == "" {
 			t.Fatal("accepted envelope without a type")
 		}
-		if _, err := Marshal(env); err != nil {
-			t.Fatalf("re-marshal of accepted envelope failed: %v", err)
+		if _, err := (jsonCodec{}).Append(nil, &env); err != nil {
+			t.Fatalf("re-encode of accepted envelope failed: %v", err)
 		}
 		// Bid extraction must never panic and must reject non-positive
 		// runtimes and malformed bounds.

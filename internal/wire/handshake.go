@@ -73,7 +73,8 @@ func clientHandshake(conn net.Conn, prefer string, timeout time.Duration) (Codec
 	if prefer != CodecJSON {
 		offers = append(offers, CodecJSON)
 	}
-	line, err := Marshal(HelloEnvelope(offers...))
+	hello := HelloEnvelope(offers...)
+	line, err := jsonCodec{}.Append(nil, &hello)
 	if err != nil {
 		return nil, err
 	}
@@ -90,8 +91,8 @@ func clientHandshake(conn net.Conn, prefer string, timeout time.Duration) (Codec
 	if err != nil {
 		return nil, fmt.Errorf("wire: handshake read: %w", err)
 	}
-	env, err := Unmarshal(reply)
-	if err != nil {
+	var env Envelope
+	if err := decodeJSONEnvelope(reply, &env); err != nil {
 		return nil, fmt.Errorf("wire: handshake reply: %w", err)
 	}
 	switch env.Type {

@@ -118,8 +118,8 @@ func TestHandshakeMatrix(t *testing.T) {
 				if err != nil {
 					return
 				}
-				env, err := Unmarshal(line)
-				if err != nil {
+				var env Envelope
+				if err := decodeJSONEnvelope(line, &env); err != nil {
 					continue
 				}
 				var reply Envelope
@@ -129,7 +129,7 @@ func TestHandshakeMatrix(t *testing.T) {
 					reply = Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
 				}
 				reply.ReqID = env.ReqID
-				out, _ := Marshal(reply)
+				out, _ := jsonCodec{}.Append(nil, &reply)
 				if _, err := conn.Write(out); err != nil {
 					return
 				}
@@ -165,7 +165,7 @@ func TestHandshakeMalformedHello(t *testing.T) {
 
 	send := func(e Envelope) Envelope {
 		t.Helper()
-		line, err := Marshal(e)
+		line, err := jsonCodec{}.Append(nil, &e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,8 +176,8 @@ func TestHandshakeMalformedHello(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, err := Unmarshal(raw)
-		if err != nil {
+		var reply Envelope
+		if err := decodeJSONEnvelope(raw, &reply); err != nil {
 			t.Fatal(err)
 		}
 		return reply
@@ -212,7 +212,7 @@ func TestHandshakeHelloMidSession(t *testing.T) {
 
 	send := func(e Envelope) Envelope {
 		t.Helper()
-		line, err := Marshal(e)
+		line, err := jsonCodec{}.Append(nil, &e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +223,8 @@ func TestHandshakeHelloMidSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, err := Unmarshal(raw)
-		if err != nil {
+		var reply Envelope
+		if err := decodeJSONEnvelope(raw, &reply); err != nil {
 			t.Fatal(err)
 		}
 		return reply
@@ -346,8 +346,8 @@ func TestBrokerSiteCodecDefaults(t *testing.T) {
 						if err != nil {
 							return
 						}
-						env, err := Unmarshal(line)
-						if err != nil {
+						var env Envelope
+						if err := decodeJSONEnvelope(line, &env); err != nil {
 							continue
 						}
 						var reply Envelope
@@ -357,7 +357,7 @@ func TestBrokerSiteCodecDefaults(t *testing.T) {
 							reply = Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
 						}
 						reply.ReqID = env.ReqID
-						out, _ := Marshal(reply)
+						out, _ := jsonCodec{}.Append(nil, &reply)
 						if _, err := conn.Write(out); err != nil {
 							return
 						}

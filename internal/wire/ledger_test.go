@@ -131,8 +131,9 @@ func TestServerLedgerCloseAbandons(t *testing.T) {
 
 // TestRecoverySeedsLedger restarts a journaled site and checks the fresh
 // process's ledger still accounts for every contract the journal knows:
-// pre-restart settlements replay as closed entries, open contracts re-open
-// with their cohort attribution intact.
+// pre-restart settlements and client-disconnect abandons replay as closed
+// entries at their original times, open contracts re-open with their
+// cohort attribution intact.
 func TestRecoverySeedsLedger(t *testing.T) {
 	dir := t.TempDir()
 	led1 := obs.NewLedger(obs.LedgerConfig{Site: "r1"})
@@ -143,7 +144,7 @@ func TestRecoverySeedsLedger(t *testing.T) {
 	settled := make(chan Envelope, 1)
 	c.SetOnSettled(func(e Envelope) { settled <- e })
 
-	award := func(b market.Bid) {
+	award := func(c *SiteClient, b market.Bid) {
 		t.Helper()
 		sb, ok, err := c.Propose(b)
 		if err != nil || !ok {
@@ -153,15 +154,28 @@ func TestRecoverySeedsLedger(t *testing.T) {
 			t.Fatalf("award %d: %v %v", b.TaskID, ok, err)
 		}
 	}
-	award(cohortBid(1, 5, "batch", 1))
+	award(c, cohortBid(1, 5, "batch", 1))
 	var final Envelope
 	select {
 	case final = <-settled:
 	case <-time.After(5 * time.Second):
 		t.Fatal("task 1 never settled")
 	}
-	award(cohortBid(2, 50000, "batch", 2))       // running at shutdown
-	award(cohortBid(3, 50000, "interactive", 3)) // queued behind it
+	award(c, cohortBid(2, 50000, "batch", 2))       // running at shutdown
+	award(c, cohortBid(3, 50000, "interactive", 3)) // queued behind it
+	// A second client's queued contract is abandoned when it disconnects.
+	c2 := dialServer(t, srv)
+	award(c2, cohortBid(4, 50000, "batch", 4))
+	c2.Close()
+	var abandoned obs.LedgerEntry
+	waitFor(t, "task 4 to be abandoned after its client disconnected", func() bool {
+		for _, e := range led1.Snapshot().Entries {
+			if e.Task == 4 {
+				abandoned = e
+			}
+		}
+		return abandoned.Outcome == obs.OutcomeAbandoned
+	})
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
@@ -172,11 +186,11 @@ func TestRecoverySeedsLedger(t *testing.T) {
 	defer srv2.Close()
 
 	s := led2.Snapshot()
-	if s.Totals.Opened != 3 {
-		t.Fatalf("recovered ledger opened %d contracts, want all 3", s.Totals.Opened)
+	if s.Totals.Opened != 4 {
+		t.Fatalf("recovered ledger opened %d contracts, want all 4", s.Totals.Opened)
 	}
-	if s.Totals.Settled != 1 || s.Totals.Open != 2 {
-		t.Fatalf("totals = %+v, want 1 settled and 2 re-opened", s.Totals)
+	if s.Totals.Settled != 1 || s.Totals.Abandoned != 1 || s.Totals.Open != 2 {
+		t.Fatalf("totals = %+v, want 1 settled, 1 abandoned and 2 re-opened", s.Totals)
 	}
 	if got := led2.RealizedTotal(); got != final.FinalPrice {
 		t.Fatalf("recovered realized total = %v, want task 1's settlement %v", got, final.FinalPrice)
@@ -190,6 +204,9 @@ func TestRecoverySeedsLedger(t *testing.T) {
 	}
 	if e := byTask[3]; e.Outcome != obs.OutcomeOpen || e.Cohort != "interactive" || e.Client != 3 {
 		t.Fatalf("task 3 recovered as %+v, want open with interactive/3 attribution", e)
+	}
+	if e := byTask[4]; e.Outcome != obs.OutcomeAbandoned || e.SettledAt != abandoned.SettledAt || e.Lateness != abandoned.Lateness {
+		t.Fatalf("task 4 replayed as %+v, want the pre-restart abandon %+v", e, abandoned)
 	}
 	if led2.Exposure() <= 0 {
 		t.Fatalf("exposure = %v with 2 open contracts, want > 0", led2.Exposure())

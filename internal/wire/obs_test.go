@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -216,6 +217,25 @@ func TestServerMetricsAdvance(t *testing.T) {
 	}
 	if got := s[`site_queue_depth{site="m1"}`]; got != 0 {
 		t.Errorf("site_queue_depth = %v, want 0 after settlement", got)
+	}
+	// The RPC histogram must resolve the latencies it measures: a bid is
+	// handled in tens of microseconds, so the finest bucket bound has to
+	// sit well below the default buckets' 1ms floor.
+	finest := math.Inf(1)
+	for sample := range s {
+		if !strings.HasPrefix(sample, "wire_rpc_seconds_bucket{") {
+			continue
+		}
+		_, le, _ := strings.Cut(sample, `le="`)
+		le, _, _ = strings.Cut(le, `"`)
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			t.Fatalf("bad le in %q: %v", sample, err)
+		}
+		finest = math.Min(finest, bound)
+	}
+	if finest >= 100e-6 {
+		t.Errorf("smallest wire_rpc_seconds bucket bound = %v, want < 100µs", finest)
 	}
 }
 

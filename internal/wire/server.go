@@ -99,11 +99,6 @@ type ServerConfig struct {
 	// v2 hello/welcome handshake. Empty allows every registered codec; JSON
 	// is always allowed as the mandatory fallback.
 	Codecs []string
-	// legacyLocked serves every RPC under the single global mutex, on one
-	// shard, and syncs each award's journal record inline. Only this
-	// package's differential test sets it: the locked handlers are the
-	// reference the concurrent request path is compared against.
-	legacyLocked bool
 }
 
 func (c ServerConfig) crashRegime() string {
@@ -114,7 +109,7 @@ func (c ServerConfig) crashRegime() string {
 }
 
 func (c ServerConfig) shardCount() int {
-	if c.legacyLocked || c.Shards < 1 {
+	if c.Shards < 1 {
 		return 1
 	}
 	return c.Shards
@@ -252,9 +247,8 @@ type bookShard struct {
 // what the batch sweep needs to finish the award's bookkeeping on the
 // awarding goroutine's behalf.
 type unsyncedAward struct {
-	idx        uint64 // journal index of the contract record
-	t          *task.Task
-	completion float64
+	idx uint64 // journal index of the contract record
+	t   *task.Task
 }
 
 type serverConn struct {
@@ -441,13 +435,8 @@ func (sh *bookShard) snapshotLocked() *site.QuoteSnapshot {
 }
 
 // publishLocked rebuilds and publishes the shard's quote snapshot. Callers
-// must hold sh.mu (or run before the accept loop starts). The locked test
-// reference publishes nothing: its handlers quote under sh.mu, not from the
-// board.
+// must hold sh.mu (or run before the accept loop starts).
 func (sh *bookShard) publishLocked() {
-	if sh.s.cfg.legacyLocked {
-		return
-	}
 	sh.board.Publish(sh.snapshotLocked())
 	sh.s.m.snapshotPublishes.Inc()
 }
@@ -516,19 +505,10 @@ func (s *Server) Close() error {
 
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		npend := len(sh.pending)
-		if npend > 0 {
-			s.mu.Lock()
-			s.Abandoned += npend
-			s.mu.Unlock()
-			s.m.abandoned.Add(float64(npend))
-		}
 		for _, t := range sh.pending {
-			s.m.cohortEvent(t.Cohort, "abandoned")
-			sh.ledgerCloseLocked(t.ID, obs.OutcomeAbandoned, s.now(), 0)
-			sh.traceLocked(obs.StageAbandon, t.ID, "server closed")
+			sh.abandonLocked(t, s.now(), "server closed")
 		}
-		s.nQueued.Add(-int64(npend))
+		s.nQueued.Add(-int64(len(sh.pending)))
 		sh.pending = nil
 		sh.seqs = nil
 		for id, tm := range sh.timers {
@@ -536,15 +516,7 @@ func (s *Server) Close() error {
 				// The callback will never run; release its drain slot.
 				s.timerWG.Done()
 				delete(sh.timers, id)
-				s.mu.Lock()
-				s.Abandoned++
-				s.mu.Unlock()
-				s.m.abandoned.Inc()
-				if rt := sh.running[id]; rt != nil {
-					s.m.cohortEvent(rt.Cohort, "abandoned")
-				}
-				sh.ledgerCloseLocked(id, obs.OutcomeAbandoned, s.now(), 0)
-				sh.traceLocked(obs.StageAbandon, id, "server closed mid-run")
+				sh.abandonLocked(sh.running[id], s.now(), "server closed mid-run")
 			}
 		}
 		sh.syncGaugesLocked()
@@ -630,6 +602,21 @@ func (sh *bookShard) removePendingLocked(t *task.Task) bool {
 		}
 	}
 	return false
+}
+
+// abandonLocked books a contract dropped without a settlement — by
+// shutdown, or by its client vanishing before the task started: the
+// abandoned counters, the ledger close stamped at, and the lifecycle
+// trace. Callers must hold sh.mu.
+func (sh *bookShard) abandonLocked(t *task.Task, at float64, detail string) {
+	s := sh.s
+	s.mu.Lock()
+	s.Abandoned++
+	s.mu.Unlock()
+	s.m.abandoned.Inc()
+	s.m.cohortEvent(t.Cohort, "abandoned")
+	sh.ledgerCloseLocked(t.ID, obs.OutcomeAbandoned, at, 0)
+	sh.traceLocked(obs.StageAbandon, t.ID, detail)
 }
 
 func (s *Server) acceptLoop() {
@@ -766,58 +753,57 @@ func (s *Server) serve(conn net.Conn) {
 
 // dropOwner forgets a disconnected client's contracts: queued tasks are
 // discarded (nobody is left to pay for them), running tasks finish but
-// settle into the void.
+// settle into the void. Only a shard that lost a queued task republishes:
+// orphaning a running task changes no scheduling state, and an idle
+// disconnect must not invalidate every in-flight optimistic award.
 func (s *Server) dropOwner(sc *serverConn) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
+		removed := false
 		for id, owner := range sh.owners {
 			if owner != sc {
 				continue
 			}
 			delete(sh.owners, id)
 			delete(sh.reqs, id)
-			dropped := false
-			for _, p := range sh.pending {
-				if p.ID == id {
-					sh.removePendingLocked(p)
-					p.State = task.Rejected
-					s.mu.Lock()
-					s.Abandoned++
-					s.mu.Unlock()
-					s.m.abandoned.Inc()
-					s.m.cohortEvent(p.Cohort, "abandoned")
-					sh.ledgerCloseLocked(id, obs.OutcomeAbandoned, s.now(), 0)
-					sh.traceLocked(obs.StageAbandon, id, "client disconnected")
-					if err := s.appendRecord(sh.id, contractRecord{Kind: recAbandon, TaskID: id, Reason: "client disconnected"}); err != nil {
-						s.log.Warn("journal abandon record failed", "task", id, "err", err.Error())
-					}
-					s.log.Info("dropped queued task: client disconnected", "task", id)
-					dropped = true
-					break
-				}
-			}
-			if dropped {
-				delete(sh.prices, id)
-				continue
-			}
 			// A running task survives owner loss: the contract is still open,
 			// so its standing terms stay on the book for Query re-adoption and
 			// the eventual settlement.
 			if _, isRunning := sh.running[id]; isRunning {
 				s.log.Info("task orphaned mid-run: client disconnected", "task", id)
+				continue
+			}
+			for _, p := range sh.pending {
+				if p.ID != id {
+					continue
+				}
+				sh.removePendingLocked(p)
+				p.State = task.Rejected
+				delete(sh.prices, id)
+				// One timestamp: a restart re-seeds the ledger from the record.
+				now := s.now()
+				sh.abandonLocked(p, now, "client disconnected")
+				if err := s.appendRecord(sh.id, contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "client disconnected"}); err != nil {
+					s.log.Warn("journal abandon record failed", "task", id, "err", err.Error())
+				}
+				s.log.Info("dropped queued task: client disconnected", "task", id)
+				removed = true
+				break
 			}
 		}
-		sh.syncGaugesLocked()
-		sh.bumpLocked()
+		if removed {
+			sh.syncGaugesLocked()
+			sh.bumpLocked()
+		}
 		sh.mu.Unlock()
 	}
 }
 
 // handleBid quotes a bid against the current candidate schedule without
-// committing resources. The concurrent path ranks the bid against the
-// merged published snapshots with zero lock acquisitions: quoting is a pure
-// read, so any number of bids evaluate in parallel with each other and with
-// the scheduler. Only bookkeeping (reject counters) briefly takes the stats
+// committing resources. It ranks the bid against the merged published
+// snapshots with zero lock acquisitions: quoting is a pure read, so any
+// number of bids evaluate in parallel with each other and with the
+// scheduler. Only bookkeeping (reject counters) briefly takes the stats
 // lock.
 func (s *Server) handleBid(env Envelope) Envelope {
 	bid, err := env.Bid()
@@ -837,9 +823,6 @@ func (s *Server) handleBid(env Envelope) Envelope {
 		return s.shedReject(bid, shedReasonInflight, "bid quota exhausted", s.shedFloorNow())
 	}
 	defer s.shed.release()
-	if s.cfg.legacyLocked {
-		return s.handleBidLegacy(bid)
-	}
 	snap, _ := s.mergedSnapshot()
 	s.m.snapshotQuotes.Inc()
 	q, err := snap.Quote(s.now(), s.bidTask(bid))
@@ -862,46 +845,6 @@ func (s *Server) handleBid(env Envelope) Envelope {
 	}
 	s.shed.observeAdmit(q.ExpectedYield)
 	s.traceBid(obs.StageBid, bid, q.Slack, "")
-	return Envelope{
-		Type:               TypeServerBid,
-		TaskID:             bid.TaskID,
-		SiteID:             s.cfg.SiteID,
-		ExpectedCompletion: q.ExpectedCompletion,
-		ExpectedPrice:      q.ExpectedYield,
-	}
-}
-
-// handleBidLegacy is the pre-snapshot bid path: the whole quote runs under
-// the single shard's lock. Kept as the differential test reference. The
-// caller has already run the deadline and in-flight gates;
-// the value floor applies here exactly as on the snapshot path.
-func (s *Server) handleBidLegacy(bid market.Bid) Envelope {
-	sh := s.shards[0]
-	sh.mu.Lock()
-	q, err := sh.quoteLocked(bid)
-	if err != nil {
-		sh.mu.Unlock()
-		return Envelope{Type: TypeError, Reason: err.Error()}
-	}
-	if floor, reason := s.shed.evaluate(int(s.nQueued.Load()), q.ExpectedYield); reason != "" {
-		sh.mu.Unlock()
-		return s.shedReject(bid, reason, fmt.Sprintf("yield %.2f below floor %.2f at depth %d", q.ExpectedYield, floor, s.nQueued.Load()), floor)
-	}
-	s.observeSlack(q.Slack)
-	if !s.cfg.Admission.Admit(q) {
-		s.mu.Lock()
-		s.Rejected++
-		s.mu.Unlock()
-		s.m.rejected.Inc()
-		s.m.cohortEvent(bid.Cohort, "rejected")
-		s.traceBid(obs.StageReject, bid, q.Slack, "slack below threshold")
-		sh.mu.Unlock()
-		return Envelope{Type: TypeReject, TaskID: bid.TaskID, SiteID: s.cfg.SiteID,
-			Reason: fmt.Sprintf("slack %.2f below threshold", q.Slack)}
-	}
-	s.shed.observeAdmit(q.ExpectedYield)
-	s.traceBid(obs.StageBid, bid, q.Slack, "")
-	sh.mu.Unlock()
 	return Envelope{
 		Type:               TypeServerBid,
 		TaskID:             bid.TaskID,
@@ -949,7 +892,7 @@ func (s *Server) traceBid(stage string, bid market.Bid, value float64, detail st
 // error, making awards idempotent so clients can safely retry after a
 // connection-level failure.
 //
-// The concurrent path is optimistic-then-validate: the quote is computed
+// The award is optimistic-then-validate: the quote is computed
 // lock-free against the merged published snapshots, and only the task's own
 // shard lock is taken to check that every shard's live version still
 // matches its part — a mismatch means the scheduling state moved underneath
@@ -965,9 +908,6 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	bid, err := env.Bid()
 	if err != nil {
 		return Envelope{Type: TypeError, Reason: err.Error()}
-	}
-	if s.cfg.legacyLocked {
-		return s.handleAwardLegacy(bid, sc)
 	}
 	// Optimistic quote, before any lock.
 	snap, parts := s.mergedSnapshot()
@@ -988,13 +928,7 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 			sh.reqs[bid.TaskID] = bid.ReqID
 		}
 		sh.mu.Unlock()
-		return Envelope{
-			Type:               TypeContract,
-			TaskID:             bid.TaskID,
-			SiteID:             s.cfg.SiteID,
-			ExpectedCompletion: standing.ExpectedCompletion,
-			ExpectedPrice:      standing.ExpectedPrice,
-		}
+		return contractReply(standing)
 	}
 	// A retried award whose contract already settled (the run beat the
 	// retry) reports the closed contract instead of executing it twice.
@@ -1062,30 +996,17 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	}
 	sh.prices[t.ID] = sb
 	if journaled {
-		sh.unsynced[t.ID] = unsyncedAward{idx: idx, t: t, completion: q.ExpectedCompletion}
+		sh.unsynced[t.ID] = unsyncedAward{idx: idx, t: t}
 	}
 	sh.syncGaugesLocked()
 	sh.traceLocked(obs.StageContract, t.ID, "")
 	sh.bumpLocked()
 	if !journaled {
 		// Memory-only site: nothing to wait for, finish the award inline.
-		s.mu.Lock()
-		s.Accepted++
-		s.mu.Unlock()
-		s.m.accepted.Inc()
-		sh.mAccepted.Inc()
-		s.m.cohortEvent(t.Cohort, "accepted")
-		sh.ledgerOpenLocked(t)
-		s.log.Info("accepted task", "task", t.ID, "runtime", t.Runtime, "expected_completion", q.ExpectedCompletion)
+		sh.acceptLocked(t)
 		sh.mu.Unlock()
 		s.dispatch()
-		return Envelope{
-			Type:               TypeContract,
-			TaskID:             t.ID,
-			SiteID:             s.cfg.SiteID,
-			ExpectedCompletion: sb.ExpectedCompletion,
-			ExpectedPrice:      sb.ExpectedPrice,
-		}
+		return contractReply(sb)
 	}
 	sh.mu.Unlock()
 
@@ -1100,13 +1021,47 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	} else {
 		s.finishDurableAwards(idx)
 	}
+	return contractReply(sb)
+}
+
+// contractReply frames a contract's standing terms as the award ack.
+func contractReply(sb market.ServerBid) Envelope {
 	return Envelope{
 		Type:               TypeContract,
-		TaskID:             t.ID,
-		SiteID:             s.cfg.SiteID,
+		TaskID:             sb.TaskID,
+		SiteID:             sb.SiteID,
 		ExpectedCompletion: sb.ExpectedCompletion,
 		ExpectedPrice:      sb.ExpectedPrice,
 	}
+}
+
+// acceptLocked books a contract as accepted once nothing can refuse it any
+// more — at the award itself on a memory-only site, at the durability
+// barrier otherwise: the accepted counters, the ledger entry with the
+// standing terms, and the acceptance log line. Callers must hold sh.mu,
+// after the award's bookkeeping (prices, reqs) is in place.
+func (sh *bookShard) acceptLocked(t *task.Task) {
+	s := sh.s
+	sb := sh.prices[t.ID]
+	s.mu.Lock()
+	s.Accepted++
+	s.mu.Unlock()
+	s.m.accepted.Inc()
+	sh.mAccepted.Inc()
+	s.m.cohortEvent(t.Cohort, "accepted")
+	if s.cfg.Ledger != nil {
+		s.cfg.Ledger.Open(obs.LedgerEntry{
+			Task:               uint64(t.ID),
+			Req:                sh.reqs[t.ID],
+			Cohort:             t.Cohort,
+			Client:             t.Client,
+			BidValue:           t.Value,
+			QuotedPrice:        sb.ExpectedPrice,
+			ExpectedCompletion: sb.ExpectedCompletion,
+			AwardedAt:          t.Arrival,
+		})
+	}
+	s.log.Info("accepted task", "task", t.ID, "runtime", t.Runtime, "expected_completion", sb.ExpectedCompletion)
 }
 
 // waitSyncedLocked blocks while id's contract sits inside a group-commit
@@ -1140,14 +1095,7 @@ func (s *Server) finishDurableAwards(idx uint64) {
 				continue
 			}
 			delete(sh.unsynced, id)
-			s.mu.Lock()
-			s.Accepted++
-			s.mu.Unlock()
-			s.m.accepted.Inc()
-			sh.mAccepted.Inc()
-			s.m.cohortEvent(u.t.Cohort, "accepted")
-			sh.ledgerOpenLocked(u.t)
-			s.log.Info("accepted task", "task", id, "runtime", u.t.Runtime, "expected_completion", u.completion)
+			sh.acceptLocked(u.t)
 			shardFinished = true
 		}
 		if shardFinished {
@@ -1182,22 +1130,14 @@ func (s *Server) finishDurableAwards(idx uint64) {
 func (s *Server) rollbackUnsyncedAward(t *task.Task, idx uint64, serr error) bool {
 	sh := s.shardFor(t.ID)
 	sh.mu.Lock()
-	u, present := sh.unsynced[t.ID]
-	if !present {
+	if _, present := sh.unsynced[t.ID]; !present {
 		sh.mu.Unlock()
 		return false // swept as accepted by a later successful round
 	}
 	if s.j.Durable() > idx {
 		delete(sh.unsynced, t.ID)
 		sh.syncCond.Broadcast()
-		s.mu.Lock()
-		s.Accepted++
-		s.mu.Unlock()
-		s.m.accepted.Inc()
-		sh.mAccepted.Inc()
-		s.m.cohortEvent(u.t.Cohort, "accepted")
-		sh.ledgerOpenLocked(u.t)
-		s.log.Info("accepted task", "task", t.ID, "runtime", u.t.Runtime, "expected_completion", u.completion)
+		sh.acceptLocked(t)
 		sh.mu.Unlock()
 		s.dispatch()
 		return false
@@ -1210,7 +1150,7 @@ func (s *Server) rollbackUnsyncedAward(t *task.Task, idx uint64, serr error) boo
 		delete(sh.prices, t.ID)
 		delete(sh.reqs, t.ID)
 		t.State = task.Rejected
-		if aerr := s.appendRecord(sh.id, contractRecord{Kind: recAbandon, TaskID: t.ID, Reason: "award refused: journal sync failed"}); aerr != nil {
+		if aerr := s.appendRecord(sh.id, contractRecord{Kind: recAbandon, TaskID: t.ID, T: s.now(), Reason: "award refused: journal sync failed"}); aerr != nil {
 			s.log.Warn("journal abandon record failed", "task", t.ID, "err", aerr.Error())
 		}
 		sh.syncGaugesLocked()
@@ -1219,110 +1159,6 @@ func (s *Server) rollbackUnsyncedAward(t *task.Task, idx uint64, serr error) boo
 	sh.mu.Unlock()
 	s.log.Warn("journal sync failed, refusing award", "task", t.ID, "err", serr.Error())
 	return true
-}
-
-// handleAwardLegacy is the pre-group-commit award path: quote, journal
-// append, and fsync all execute under the single shard's lock, serializing
-// every award behind the disk. Kept as the differential test reference.
-func (s *Server) handleAwardLegacy(bid market.Bid, sc *serverConn) Envelope {
-	sh := s.shards[0]
-	sh.mu.Lock()
-	// Idempotency is keyed off the contract book, which the journal rebuilds
-	// across restarts: a client retrying an award after a site crash gets
-	// its standing terms back, not a second contract.
-	if standing, dup := sh.prices[bid.TaskID]; dup {
-		sh.owners[bid.TaskID] = sc // the retrying connection owns the settlement now
-		if bid.ReqID != "" {
-			sh.reqs[bid.TaskID] = bid.ReqID
-		}
-		sh.mu.Unlock()
-		return Envelope{
-			Type:               TypeContract,
-			TaskID:             bid.TaskID,
-			SiteID:             s.cfg.SiteID,
-			ExpectedCompletion: standing.ExpectedCompletion,
-			ExpectedPrice:      standing.ExpectedPrice,
-		}
-	}
-	// A retried award whose contract already settled (the run beat the
-	// retry) reports the closed contract instead of executing it twice.
-	if st, ok := sh.settled[bid.TaskID]; ok {
-		sh.mu.Unlock()
-		return s.statusEnvelope(bid.TaskID, st)
-	}
-	q, err := sh.quoteLocked(bid)
-	if err != nil {
-		sh.mu.Unlock()
-		return Envelope{Type: TypeError, Reason: err.Error()}
-	}
-	s.observeSlack(q.Slack)
-	if !s.cfg.Admission.Admit(q) {
-		s.mu.Lock()
-		s.Rejected++
-		s.mu.Unlock()
-		s.m.rejected.Inc()
-		s.m.cohortEvent(bid.Cohort, "rejected")
-		s.traceBid(obs.StageReject, bid, q.Slack, "mix changed since proposal")
-		sh.mu.Unlock()
-		return Envelope{Type: TypeReject, TaskID: bid.TaskID, SiteID: s.cfg.SiteID,
-			Reason: "mix changed since proposal"}
-	}
-	if floor, reason := s.shed.evaluate(int(s.nQueued.Load()), q.ExpectedYield); reason != "" {
-		sh.mu.Unlock()
-		return s.shedReject(bid, reason, fmt.Sprintf("yield %.2f below floor %.2f at depth %d", q.ExpectedYield, floor, s.nQueued.Load()), floor)
-	}
-	s.shed.observeAdmit(q.ExpectedYield)
-	t := s.bidTask(bid)
-	t.State = task.Queued
-	sb := market.ServerBid{SiteID: s.cfg.SiteID, TaskID: t.ID,
-		ExpectedCompletion: q.ExpectedCompletion, ExpectedPrice: q.ExpectedYield}
-	if s.j != nil {
-		// The ack must not outrun the disk: journal the contract and sync
-		// before replying, whatever the steady-state fsync policy. A client
-		// holding a contract envelope can always find it again after a
-		// crash; a failed write refuses the award instead of promising
-		// durability the site does not have.
-		err := s.appendRecord(sh.id, contractRecord{
-			Kind: recContract, TaskID: t.ID, Req: bid.ReqID,
-			Arrival: t.Arrival, Runtime: t.Runtime, Value: t.Value,
-			Decay: t.Decay, Bound: EncodeBound(t.Bound),
-			ExpectedCompletion: sb.ExpectedCompletion, ExpectedPrice: sb.ExpectedPrice,
-			Cohort: t.Cohort, Client: t.Client,
-		})
-		if err == nil {
-			err = s.j.Sync()
-		}
-		if err != nil {
-			sh.mu.Unlock()
-			s.log.Warn("journal write failed, refusing award", "task", t.ID, "err", err.Error())
-			return Envelope{Type: TypeError, Reason: "site journal unavailable"}
-		}
-	}
-	sh.addPendingLocked(t)
-	sh.owners[t.ID] = sc
-	if bid.ReqID != "" {
-		sh.reqs[t.ID] = bid.ReqID
-	}
-	sh.prices[t.ID] = sb
-	s.mu.Lock()
-	s.Accepted++
-	s.mu.Unlock()
-	s.m.accepted.Inc()
-	sh.mAccepted.Inc()
-	s.m.cohortEvent(t.Cohort, "accepted")
-	sh.ledgerOpenLocked(t)
-	sh.syncGaugesLocked()
-	sh.traceLocked(obs.StageContract, t.ID, "")
-	s.log.Info("accepted task", "task", t.ID, "runtime", t.Runtime, "expected_completion", q.ExpectedCompletion)
-	sh.mu.Unlock()
-	s.dispatch()
-	return Envelope{
-		Type:               TypeContract,
-		TaskID:             t.ID,
-		SiteID:             s.cfg.SiteID,
-		ExpectedCompletion: sb.ExpectedCompletion,
-		ExpectedPrice:      sb.ExpectedPrice,
-	}
 }
 
 // bidTask materializes the bid as a task arriving now in server time. The
@@ -1334,27 +1170,6 @@ func (s *Server) bidTask(bid market.Bid) *task.Task {
 	t.Cohort = bid.Cohort
 	t.Client = bid.Client
 	return t
-}
-
-// ledgerOpenLocked books an accepted contract into the economic ledger
-// with the standing terms from the contract book. Callers must hold sh.mu,
-// after the award's bookkeeping (prices, reqs) is in place.
-func (sh *bookShard) ledgerOpenLocked(t *task.Task) {
-	s := sh.s
-	if s.cfg.Ledger == nil {
-		return
-	}
-	sb := sh.prices[t.ID]
-	s.cfg.Ledger.Open(obs.LedgerEntry{
-		Task:               uint64(t.ID),
-		Req:                sh.reqs[t.ID],
-		Cohort:             t.Cohort,
-		Client:             t.Client,
-		BidValue:           t.Value,
-		QuotedPrice:        sb.ExpectedPrice,
-		ExpectedCompletion: sb.ExpectedCompletion,
-		AwardedAt:          t.Arrival,
-	})
 }
 
 // ledgerCloseLocked settles a ledger entry. Contracts still inside a
@@ -1507,13 +1322,7 @@ func (s *Server) complete(t *task.Task) {
 		s.nRunning.Add(-1)
 		delete(sh.owners, t.ID)
 		delete(sh.prices, t.ID)
-		s.mu.Lock()
-		s.Abandoned++
-		s.mu.Unlock()
-		s.m.abandoned.Inc()
-		s.m.cohortEvent(t.Cohort, "abandoned")
-		sh.ledgerCloseLocked(t.ID, obs.OutcomeAbandoned, s.now(), 0)
-		sh.traceLocked(obs.StageAbandon, t.ID, "server closed mid-run")
+		sh.abandonLocked(t, s.now(), "server closed mid-run")
 		delete(sh.reqs, t.ID)
 		sh.syncGaugesLocked()
 		sh.mu.Unlock()
@@ -1560,7 +1369,7 @@ func (s *Server) complete(t *task.Task) {
 	// A settle record under FsyncAlways must be durable before the
 	// settlement push, as it was when Append synced inline; it rides the
 	// shared group-commit barrier, outside the lock.
-	settleSync := settleJournaled && !s.cfg.legacyLocked && s.cfg.Fsync == durable.FsyncAlways
+	settleSync := settleJournaled && s.cfg.Fsync == durable.FsyncAlways
 	sh.mu.Unlock()
 
 	s.dispatch()

@@ -9,23 +9,39 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/market"
 	"repro/internal/obs"
 	"repro/internal/task"
 )
 
-// shardScript drives the deterministic backlog script from the legacy
-// differential test against a server with the given shard count and wire
-// codec, and returns the observable decision sequence. Decisions are
-// driven by queue backlog in steps of whole task runtimes, which dwarf
-// the microseconds of clock skew between runs, so the sequence is
-// reproducible regardless of sharding or codec.
+// The backlog script's site: one processor under scriptPolicy and
+// scriptAdmission, offered twelve identical scriptBids. Shared by the live
+// servers and the simulator oracle so the two cannot drift apart.
+var (
+	scriptPolicy    = core.FirstReward{Alpha: 0.3, DiscountRate: 0.01}
+	scriptAdmission = admission.SlackThreshold{Threshold: -150}
+)
+
+func scriptBid(id task.ID) market.Bid {
+	bid := testBid(id, 100)
+	bid.Decay = 2
+	return bid
+}
+
+// shardScript drives the deterministic backlog script against a server
+// with the given shard count and wire codec, and returns the observable
+// decision sequence. Decisions are driven by queue backlog in steps of
+// whole task runtimes, which dwarf the microseconds of clock skew between
+// runs, so the sequence is reproducible regardless of sharding or codec.
 func shardScript(t *testing.T, shards int, codec string) (decisions []string, accepted, rejected, completed int) {
 	t.Helper()
 	srv := startServer(t, ServerConfig{
 		Processors: 1,
 		TimeScale:  time.Millisecond,
-		Admission:  admission.SlackThreshold{Threshold: -150},
+		Policy:     scriptPolicy,
+		Admission:  scriptAdmission,
 		DataDir:    t.TempDir(),
 		Fsync:      durable.FsyncAlways,
 		Shards:     shards,
@@ -44,8 +60,7 @@ func shardScript(t *testing.T, shards int, codec string) (decisions []string, ac
 	// cover every residue mod 4, so a 4-shard book spreads the script
 	// across all shards.
 	for i := 1; i <= 12; i++ {
-		bid := testBid(task.ID(i), 100)
-		bid.Decay = 2
+		bid := scriptBid(task.ID(i))
 		sb, ok, err := c.Propose(bid)
 		if err != nil {
 			t.Fatal(err)

@@ -283,25 +283,3 @@ func (e Envelope) ServerBid() (market.ServerBid, error) {
 		ExpectedPrice:      e.ExpectedPrice,
 	}, nil
 }
-
-// Marshal renders the envelope as one JSON line.
-//
-// Deprecated: Marshal is a thin wrapper over the JSON Codec's Append and
-// remains only for external callers; in-tree paths encode through a
-// connection's negotiated Codec.
-func Marshal(e Envelope) ([]byte, error) {
-	return jsonCodec{}.Append(nil, &e)
-}
-
-// Unmarshal parses one JSON line into an envelope.
-//
-// Deprecated: Unmarshal is a thin wrapper over the JSON Codec's decoding
-// and remains only for external callers; in-tree paths decode through a
-// connection's negotiated Codec.
-func Unmarshal(line []byte) (Envelope, error) {
-	var e Envelope
-	if err := decodeJSONEnvelope(line, &e); err != nil {
-		return Envelope{}, err
-	}
-	return e, nil
-}

@@ -53,12 +53,13 @@ func TestBidEnvelopeRoundTrip(t *testing.T) {
 			Decay:   math.Abs(math.Mod(decay, 1e6)),
 			Bound:   math.Abs(math.Mod(bound, 1e9)),
 		}
-		line, err := Marshal(BidEnvelope(b))
+		sent := BidEnvelope(b)
+		line, err := jsonCodec{}.Append(nil, &sent)
 		if err != nil {
 			return false
 		}
-		env, err := Unmarshal(line)
-		if err != nil {
+		var env Envelope
+		if err := decodeJSONEnvelope(line, &env); err != nil {
 			return false
 		}
 		back, err := env.Bid()
@@ -74,9 +75,10 @@ func TestBidEnvelopeRoundTrip(t *testing.T) {
 
 func TestBidEnvelopeUnboundedRoundTrip(t *testing.T) {
 	b := market.Bid{TaskID: 1, Runtime: 10, Value: 100, Decay: 1, Bound: math.Inf(1)}
-	line, _ := Marshal(BidEnvelope(b))
-	env, err := Unmarshal(line)
-	if err != nil {
+	sent := BidEnvelope(b)
+	line, _ := jsonCodec{}.Append(nil, &sent)
+	var env Envelope
+	if err := decodeJSONEnvelope(line, &env); err != nil {
 		t.Fatal(err)
 	}
 	back, err := env.Bid()
@@ -116,8 +118,9 @@ func TestEnvelopeTypeChecks(t *testing.T) {
 
 func TestUnmarshalRejectsBadInput(t *testing.T) {
 	for _, in := range []string{"", "{", `{"no_type":1}`, "not json"} {
-		if _, err := Unmarshal([]byte(in)); err == nil {
-			t.Errorf("Unmarshal(%q) accepted", in)
+		var env Envelope
+		if err := decodeJSONEnvelope([]byte(in), &env); err == nil {
+			t.Errorf("decodeJSONEnvelope(%q) accepted", in)
 		}
 	}
 }
@@ -137,12 +140,12 @@ func TestBidValidation(t *testing.T) {
 }
 
 func TestMarshalProducesOneLine(t *testing.T) {
-	line, err := Marshal(Envelope{Type: TypeReject, Reason: "nope"})
+	line, err := jsonCodec{}.Append(nil, &Envelope{Type: TypeReject, Reason: "nope"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(line)
 	if !strings.HasSuffix(s, "\n") || strings.Count(s, "\n") != 1 {
-		t.Errorf("Marshal output %q is not a single line", s)
+		t.Errorf("JSON codec output %q is not a single line", s)
 	}
 }
