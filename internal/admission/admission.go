@@ -86,9 +86,10 @@ func Evaluate(t *task.Task, cand *core.Candidate, discountRate float64) (Quote, 
 // EvaluateInsertion builds the same quote Evaluate would, from a base
 // candidate schedule (which does NOT contain t) plus the insertion
 // computed by cand.WithTask(t). The tasks t would delay are exactly the
-// base slots from the insertion position on, accumulated in the same
-// order Evaluate walks Behind, so the two paths produce bit-identical
-// quotes for policies whose insertion keys are exact.
+// base's ranked tasks from the insertion position on, accumulated in the
+// same order Evaluate walks Behind, so the two paths produce bit-identical
+// quotes for policies whose insertion keys are exact. It reads only the
+// base's ranking, never its list-scheduled slots.
 //
 // This is the negotiation fast path: one base candidate answers m
 // competing proposals in O(m·(log n + n)) instead of m full O(n log n)
@@ -98,8 +99,8 @@ func EvaluateInsertion(t *task.Task, cand *core.Candidate, ins core.Insertion, d
 	pv := t.YieldAtCompletion(slot.Completion) / (1 + discountRate*t.RPT)
 
 	var cost float64
-	for _, s := range cand.Slots[ins.Pos:] {
-		cost += s.Task.Decay * t.Runtime
+	for _, behind := range cand.Ranked()[ins.Pos:] {
+		cost += behind.Decay * t.Runtime
 	}
 
 	net := pv - cost

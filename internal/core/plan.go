@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/task"
+import (
+	"math"
+
+	"repro/internal/task"
+)
 
 // PlanStarts selects the tasks to start on free processors at one
 // scheduling event, in start order, and reports how many ranking passes
@@ -9,12 +13,14 @@ import "repro/internal/task"
 // The seed dispatcher re-ranked the entire pending queue after every
 // start — O(free · rank) per event, with rank itself O(n log n) (or worse
 // under the general-cost ablation). PlanStarts ranks once and fills every
-// free processor from that order whenever the policy's ranking is stable
+// free processor from that ranking whenever the policy's ranking is stable
 // under removal (see StableRanker / ConditionalStableRanker): removing the
-// started task cannot reorder the remainder, so the single order's prefix
-// is exactly what per-start re-ranking would have produced — including tie
+// started task cannot reorder the remainder, so the ranking's prefix is
+// exactly what per-start re-ranking would have produced — including tie
 // breaks, because RankOrder's (priority desc, ID asc) comparator is a
-// total order.
+// total order. Only that prefix is needed, so it is selected rather than
+// sorted: O(n log free) after the O(n) priorities, and identical to
+// RankOrder(...)[:free] task for task.
 //
 // Policies with cross-task terms that do not cancel (FirstReward over
 // bounded penalties, ScheduledPrice) keep per-start fidelity: each start
@@ -33,8 +39,7 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	}
 
 	if StableUnderRemoval(policy, pending) {
-		ordered := RankOrder(policy, now, pending)
-		return ordered[:n], 1
+		return selectTop(policy.Priorities(now, pending), pending, n), 1
 	}
 
 	// Unstable path: re-rank the surviving set before each start. The
@@ -57,4 +62,65 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 		rest = append(rest[:best], rest[best+1:]...)
 	}
 	return starts, rankOps
+}
+
+// selectTop returns the first n tasks of the stable sort of pending under
+// compareRank, in order, without sorting the rest: a heap of the n best
+// seen so far, rooted at the one ranked last. Ties the comparator leaves
+// (equal priority and ID) break by position in pending, as the stable sort
+// breaks them, so the order is total and the prefix exact. A NaN priority
+// is not ordered against the others; then the stable sort itself decides.
+func selectTop(prios []float64, pending []*task.Task, n int) []*task.Task {
+	ahead := func(i, j int) bool {
+		if c := compareRank(rankedTask{prios[i], pending[i]}, rankedTask{prios[j], pending[j]}); c != 0 {
+			return c < 0
+		}
+		return i < j
+	}
+	top := make([]int, 0, n)
+	// down restores the heap below k: no index ranks behind its parent.
+	down := func(k int) {
+		for {
+			last := k
+			if l := 2*k + 1; l < len(top) && ahead(top[last], top[l]) {
+				last = l
+			}
+			if r := 2*k + 2; r < len(top) && ahead(top[last], top[r]) {
+				last = r
+			}
+			if last == k {
+				return
+			}
+			top[k], top[last] = top[last], top[k]
+			k = last
+		}
+	}
+	for i, p := range prios {
+		if math.IsNaN(p) {
+			return sortRanked(prios, pending)[:n]
+		}
+		if len(top) < n {
+			top = append(top, i)
+			for k := len(top) - 1; k > 0; {
+				parent := (k - 1) / 2
+				if !ahead(top[parent], top[k]) {
+					break
+				}
+				top[k], top[parent] = top[parent], top[k]
+				k = parent
+			}
+		} else if ahead(i, top[0]) {
+			top[0] = i
+			down(0)
+		}
+	}
+	// Pop the last-ranked into the last open start until the heap is empty.
+	starts := make([]*task.Task, len(top))
+	for k := len(top) - 1; k >= 0; k-- {
+		starts[k] = pending[top[0]]
+		top[0] = top[k]
+		top = top[:k]
+		down(0)
+	}
+	return starts
 }

@@ -92,6 +92,65 @@ func TestPlanStartsMatchesSeedPerStartRerank(t *testing.T) {
 	}
 }
 
+// tiedTasks builds a tie-heavy queue: every task copies one of three
+// prototypes, so priorities repeat, and IDs are a shuffled permutation (or,
+// with dupIDs, drawn with repeats) so the ID tie break does the work.
+func tiedTasks(n int, dupIDs bool, seed int64) []*task.Task {
+	rng := rand.New(rand.NewSource(seed))
+	ids := rng.Perm(n)
+	out := make([]*task.Task, n)
+	for i := range out {
+		id := ids[i] + 1
+		if dupIDs {
+			id = 1 + rng.Intn(n/2+1)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			out[i] = task.New(task.ID(id), 10, 50, 100, 0.5, math.Inf(1))
+		case 1:
+			out[i] = task.New(task.ID(id), 10, 20, 40, 0.5, math.Inf(1))
+		default:
+			out[i] = task.New(task.ID(id), 30, 80, 100, 1, math.Inf(1))
+		}
+	}
+	return out
+}
+
+// TestPlanStartsSelectsRankOrderPrefix: on the stable path PlanStarts
+// selects the top tasks instead of sorting the queue, and the selection
+// must be exactly RankOrder's prefix, pointer for pointer, on queues where
+// most comparisons are ties.
+func TestPlanStartsSelectsRankOrderPrefix(t *testing.T) {
+	now := 60.0
+	policies := []Policy{FCFS{}, SRPT{}, SWPT{}, FirstPrice{}, PresentValue{DiscountRate: 0.01},
+		FirstReward{Alpha: 0.3, DiscountRate: 0.01}} // all-unbounded: conditionally stable
+	for _, p := range policies {
+		for _, n := range []int{1, 2, 5, 40, 300} {
+			for _, dupIDs := range []bool{false, true} {
+				pending := tiedTasks(n, dupIDs, int64(n))
+				if !StableUnderRemoval(p, pending) {
+					t.Fatalf("%s: not on the stable path", p.Name())
+				}
+				ranked := RankOrder(p, now, pending)
+				for _, free := range []int{1, 2, 16, n, n + 3} {
+					starts, rankOps := PlanStarts(p, now, free, pending)
+					want := ranked[:min(free, n)]
+					if rankOps != 1 || len(starts) != len(want) {
+						t.Fatalf("%s n=%d free=%d: %d starts, %d rank ops; want %d, 1",
+							p.Name(), n, free, len(starts), rankOps, len(want))
+					}
+					for i := range want {
+						if starts[i] != want[i] {
+							t.Fatalf("%s n=%d dupIDs=%v free=%d: start[%d] = task %d, RankOrder task %d",
+								p.Name(), n, dupIDs, free, i, starts[i].ID, want[i].ID)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestPlanStartsRankOps pins the capability contract: stable policies rank
 // once per event regardless of how many tasks start; unstable ones rank
 // once per start.

@@ -68,14 +68,6 @@ type Inserter interface {
 	InsertKey(now float64, t *task.Task, base []*task.Task) (float64, bool)
 }
 
-// CanInsert reports whether p supports incremental candidate evaluation at
-// all. Callers use it to skip building a base schedule for policies that
-// would always force the rebuild path.
-func CanInsert(p Policy) bool {
-	_, ok := p.(Inserter)
-	return ok
-}
-
 // FCFS is First Come First Served: tasks run in arrival order. It is one
 // of the paper's two value-blind baselines (Section 4).
 type FCFS struct{}

@@ -2,9 +2,10 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
-	"repro/internal/pqueue"
 	"repro/internal/task"
 )
 
@@ -28,23 +29,23 @@ func (s Slot) ExpectedYield() float64 {
 // from list-scheduling that order onto the site's processors behind the
 // currently running work.
 //
-// Candidates built by BuildCandidate retain enough context (policy,
-// processor state, per-slot priorities) to answer WithTask queries: the
-// slot a hypothetical extra task would occupy, computed incrementally
-// against this base schedule instead of rebuilding from scratch.
+// The ranking is computed when the candidate is built; the list-scheduled
+// slots are computed on first read (Slots, Slot, Behind, Makespan,
+// TotalExpectedYield), at most once and safely under concurrent readers.
+// An insertion quote — WithTask plus admission.EvaluateInsertion — reads
+// only the ranking, so it never list-schedules the base.
 type Candidate struct {
-	Now   float64
-	Slots []Slot // in expected start order
-	index map[task.ID]int
+	Now float64
 
-	// Incremental-evaluation context. policy is nil for candidates built
-	// without it (internal ScheduledPrice refinement rounds), which makes
-	// WithTask report ok=false and callers fall back to a full rebuild.
 	policy Policy
 	procs  int
-	busy   []float64 // copy of the busyUntil passed to BuildCandidate
-	prios  []float64 // priority per slot, aligned with Slots
-	tasks  []*task.Task
+	busy   []float64    // copy of the busyUntil passed to BuildCandidate
+	tasks  []*task.Task // pending tasks in rank order
+	prios  []float64    // priority per ranked task, aligned with tasks
+
+	once  sync.Once
+	slots []Slot // tasks list-scheduled in rank order; set by once
+	index map[task.ID]int
 }
 
 // BuildCandidate constructs a candidate schedule. busyUntil holds one entry
@@ -54,22 +55,47 @@ type Candidate struct {
 // priority order claims the earliest-free processor.
 func BuildCandidate(policy Policy, now float64, procs int, busyUntil []float64, pending []*task.Task) *Candidate {
 	ordered, prios := rankWithPriorities(policy, now, pending)
-	c := buildCandidateOrdered(now, procs, busyUntil, ordered)
-	c.policy = policy
-	c.procs = procs
-	c.busy = append([]float64(nil), busyUntil...)
-	c.prios = prios
-	c.tasks = ordered
-	return c
+	return &Candidate{
+		Now:    now,
+		policy: policy,
+		procs:  procs,
+		busy:   append([]float64(nil), busyUntil...),
+		tasks:  ordered,
+		prios:  prios,
+	}
+}
+
+// Ranked returns the candidate's tasks in rank order — the order Slots
+// lists them in — without list-scheduling them. The slice must not be
+// modified.
+func (c *Candidate) Ranked() []*task.Task { return c.tasks }
+
+// Slots returns the candidate schedule in expected start order,
+// list-scheduling it on the first call. The slice must not be modified.
+func (c *Candidate) Slots() []Slot {
+	c.materialise()
+	return c.slots
+}
+
+// materialise list-schedules the ranked tasks and indexes the slots by task
+// ID, once.
+func (c *Candidate) materialise() {
+	c.once.Do(func() {
+		c.slots = listSchedule(c.Now, c.procs, c.busy, c.tasks)
+		c.index = make(map[task.ID]int, len(c.slots))
+		for i, s := range c.slots {
+			c.index[s.Task.ID] = i
+		}
+	})
 }
 
 // Insertion is the result of evaluating one extra task against a base
 // candidate schedule: the slot it would occupy and the rank position it
-// would take, with every base slot at Pos and later shifted one place
+// would take, with every base task at Pos and later shifted one place
 // behind it.
 type Insertion struct {
 	Slot Slot
-	Pos  int // index into the base Slots the task would be inserted at
+	Pos  int // index into the base ranking the task would be inserted at
 }
 
 // WithTask evaluates where task t would land if inserted into this
@@ -81,14 +107,10 @@ type Insertion struct {
 // The returned slot is identical to the one a full rebuild would assign:
 // the rank position comes from a binary search of the insertion key
 // against the base priorities, and the start time replays list-scheduling
-// of the first Pos base slots onto the processors. Cost is O(log n) for
-// the search plus O(Pos) for the replay, versus O(n log n) per full
-// rebuild — quoting m proposals against one base schedule is
-// O(m·(log n + n)) instead of O(m·n log n).
+// of the first Pos ranked tasks onto the processors. Cost is O(log n) for
+// the search plus O(Pos) for the replay; the base's own slots are never
+// computed.
 func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
-	if c.policy == nil {
-		return Insertion{}, false
-	}
 	ins, ok := c.policy.(Inserter)
 	if !ok {
 		return Insertion{}, false
@@ -98,62 +120,87 @@ func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 		return Insertion{}, false
 	}
 
-	// First slot t would outrank: priorities are non-increasing with
+	// First task t would outrank: priorities are non-increasing with
 	// ascending-ID ties, so the predicate is monotone and sort.Search
 	// applies. RankOrder's comparator is (priority desc, ID asc); t goes
-	// before slot i exactly when it wins that comparison.
-	pos := sort.Search(len(c.Slots), func(i int) bool {
+	// before task i exactly when it wins that comparison.
+	pos := sort.Search(len(c.tasks), func(i int) bool {
 		if key != c.prios[i] {
 			return key > c.prios[i]
 		}
-		return t.ID < c.Slots[i].Task.ID
+		return t.ID < c.tasks[i].ID
 	})
 
-	// Replay list-scheduling of the slots ahead of t to find the
-	// earliest-free processor at its turn. Heap pops are by value, so the
-	// replayed start times match a full rebuild exactly.
-	free := pqueue.New(func(a, b float64) bool { return a < b })
-	for _, b := range c.busy {
-		free.Push(math.Max(b, c.Now))
+	// Replay list-scheduling of the tasks ahead of t to find the
+	// earliest-free processor at its turn.
+	free := newFreeTimes(c.Now, c.procs, c.busy)
+	for _, b := range c.tasks[:pos] {
+		free.claim(b.RPT)
 	}
-	procs := c.procs
-	if procs < 1 {
-		procs = 1
-	}
-	for i := len(c.busy); i < procs; i++ {
-		free.Push(c.Now)
-	}
-	for _, s := range c.Slots[:pos] {
-		at := free.Pop().Value
-		free.Push(at + s.Task.RPT)
-	}
-	at := free.Pop().Value
+	at := free.claim(t.RPT)
 	return Insertion{Slot: Slot{Task: t, Start: at, Completion: at + t.RPT}, Pos: pos}, true
 }
 
-// buildCandidateOrdered list-schedules an explicit dispatch order onto the
-// processors.
-func buildCandidateOrdered(now float64, procs int, busyUntil []float64, ordered []*task.Task) *Candidate {
+// listSchedule assigns each task of an explicit dispatch order, in turn, to
+// the earliest-free processor.
+func listSchedule(now float64, procs int, busyUntil []float64, ordered []*task.Task) []Slot {
+	free := newFreeTimes(now, procs, busyUntil)
+	slots := make([]Slot, len(ordered))
+	for i, t := range ordered {
+		at := free.claim(t.RPT)
+		slots[i] = Slot{Task: t, Start: at, Completion: at + t.RPT}
+	}
+	return slots
+}
+
+// freeTimes is a binary min-heap of processor release times. List
+// scheduling reads only the values it pops, never which processor held
+// them, so any heap over the same multiset yields the same start times.
+type freeTimes []float64
+
+// newFreeTimes holds one release time per busy processor, clamped to now,
+// and now for each idle one; procs below 1 counts as 1.
+func newFreeTimes(now float64, procs int, busyUntil []float64) freeTimes {
 	if procs < 1 {
 		procs = 1
 	}
-	free := pqueue.New(func(a, b float64) bool { return a < b })
-	for _, t := range busyUntil {
-		free.Push(math.Max(t, now))
+	h := make(freeTimes, 0, max(procs, len(busyUntil)))
+	for _, b := range busyUntil {
+		h = append(h, math.Max(b, now))
 	}
 	for i := len(busyUntil); i < procs; i++ {
-		free.Push(now)
+		h = append(h, now)
 	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
+}
 
-	c := &Candidate{Now: now, Slots: make([]Slot, 0, len(ordered)), index: make(map[task.ID]int, len(ordered))}
-	for _, t := range ordered {
-		at := free.Pop().Value
-		done := at + t.RPT
-		free.Push(done)
-		c.index[t.ID] = len(c.Slots)
-		c.Slots = append(c.Slots, Slot{Task: t, Start: at, Completion: done})
+// claim takes the earliest-free processor for a task of length rpt and
+// returns the task's start time; the processor frees again at start+rpt.
+func (h freeTimes) claim(rpt float64) float64 {
+	at := h[0]
+	h[0] = at + rpt
+	h.down(0)
+	return at
+}
+
+func (h freeTimes) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
 	}
-	return c
 }
 
 // RankOrder returns the pending tasks sorted by the policy's priorities,
@@ -164,49 +211,75 @@ func RankOrder(policy Policy, now float64, pending []*task.Task) []*task.Task {
 	return ordered
 }
 
+// rankedTask pairs a task with its priority for sorting.
+type rankedTask struct {
+	prio float64
+	t    *task.Task
+}
+
+// compareRank orders by priority descending, then task ID ascending. It is
+// negative exactly when a ranks strictly ahead of b, so a stable sort under
+// it places tasks as a stable sort under the equivalent less-than would.
+func compareRank(a, b rankedTask) int {
+	if a.prio != b.prio {
+		if a.prio > b.prio {
+			return -1
+		}
+		return 1
+	}
+	switch {
+	case a.t.ID < b.t.ID:
+		return -1
+	case a.t.ID > b.t.ID:
+		return 1
+	}
+	return 0
+}
+
 // rankWithPriorities is RankOrder returning the sorted priorities
 // alongside the sorted tasks (prios[i] is ordered[i]'s priority).
 func rankWithPriorities(policy Policy, now float64, pending []*task.Task) ([]*task.Task, []float64) {
 	prios := policy.Priorities(now, pending)
-	idx := make([]int, len(pending))
-	for i := range idx {
-		idx[i] = i
+	return sortRanked(prios, pending), prios
+}
+
+// sortRanked stably sorts pending under compareRank given its priorities
+// (aligned with pending), and sorts prios in place alongside.
+func sortRanked(prios []float64, pending []*task.Task) []*task.Task {
+	pairs := make([]rankedTask, len(pending))
+	for i, t := range pending {
+		pairs[i] = rankedTask{prios[i], t}
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := prios[idx[a]], prios[idx[b]]
-		if pa != pb {
-			return pa > pb
-		}
-		return pending[idx[a]].ID < pending[idx[b]].ID
-	})
+	slices.SortStableFunc(pairs, compareRank)
 	out := make([]*task.Task, len(pending))
-	outPrios := make([]float64, len(pending))
-	for i, j := range idx {
-		out[i] = pending[j]
-		outPrios[i] = prios[j]
+	for i, p := range pairs {
+		out[i] = p.t
+		prios[i] = p.prio
 	}
-	return out, outPrios
+	return out
 }
 
 // Slot returns the slot for a task, if present.
 func (c *Candidate) Slot(id task.ID) (Slot, bool) {
+	c.materialise()
 	i, ok := c.index[id]
 	if !ok {
 		return Slot{}, false
 	}
-	return c.Slots[i], true
+	return c.slots[i], true
 }
 
 // Behind returns the tasks scheduled after the given task in the candidate
 // schedule — the tasks that accepting it would delay (Equation 8's
 // summation set).
 func (c *Candidate) Behind(id task.ID) []*task.Task {
+	c.materialise()
 	i, ok := c.index[id]
 	if !ok {
 		return nil
 	}
-	out := make([]*task.Task, 0, len(c.Slots)-i-1)
-	for _, s := range c.Slots[i+1:] {
+	out := make([]*task.Task, 0, len(c.slots)-i-1)
+	for _, s := range c.slots[i+1:] {
 		out = append(out, s.Task)
 	}
 	return out
@@ -217,7 +290,7 @@ func (c *Candidate) Behind(id task.ID) []*task.Task {
 // further arrivals.
 func (c *Candidate) TotalExpectedYield() float64 {
 	var sum float64
-	for _, s := range c.Slots {
+	for _, s := range c.Slots() {
 		sum += s.ExpectedYield()
 	}
 	return sum
@@ -227,7 +300,7 @@ func (c *Candidate) TotalExpectedYield() float64 {
 // if it is empty.
 func (c *Candidate) Makespan() float64 {
 	m := c.Now
-	for _, s := range c.Slots {
+	for _, s := range c.Slots() {
 		if s.Completion > m {
 			m = s.Completion
 		}

@@ -18,7 +18,7 @@ func TestCandidateSingleProcessorSequential(t *testing.T) {
 	c := BuildCandidate(FCFS{}, 0, 1, nil, tasks)
 	wantStart := []float64{0, 10, 30}
 	wantDone := []float64{10, 30, 35}
-	for i, s := range c.Slots {
+	for i, s := range c.Slots() {
 		if s.Start != wantStart[i] || s.Completion != wantDone[i] {
 			t.Errorf("slot %d = [%v, %v], want [%v, %v]", i, s.Start, s.Completion, wantStart[i], wantDone[i])
 		}
@@ -37,7 +37,7 @@ func TestCandidateMultiProcessorListScheduling(t *testing.T) {
 	want := map[task.ID][2]float64{
 		1: {0, 10}, 2: {0, 20}, 3: {10, 15}, 4: {15, 16},
 	}
-	for _, s := range c.Slots {
+	for _, s := range c.Slots() {
 		w := want[s.Task.ID]
 		if s.Start != w[0] || s.Completion != w[1] {
 			t.Errorf("task %d slot = [%v, %v], want %v", s.Task.ID, s.Start, s.Completion, w)
@@ -114,11 +114,11 @@ func TestCandidateExpectedYields(t *testing.T) {
 		mk(2, 0, 10, 100, 2),
 	}
 	c := BuildCandidate(FCFS{}, 0, 1, nil, tasks)
-	if got := c.Slots[0].ExpectedYield(); got != 100 {
+	if got := c.Slots()[0].ExpectedYield(); got != 100 {
 		t.Errorf("first slot yield = %v, want 100", got)
 	}
 	// Second completes at 20, delay 10, yield 100 - 20 = 80.
-	if got := c.Slots[1].ExpectedYield(); got != 80 {
+	if got := c.Slots()[1].ExpectedYield(); got != 80 {
 		t.Errorf("second slot yield = %v, want 80", got)
 	}
 	if got := c.TotalExpectedYield(); got != 180 {
@@ -141,7 +141,7 @@ func TestCandidateWorkConservation(t *testing.T) {
 		}
 		c := BuildCandidate(SRPT{}, 20, procs, nil, tasks)
 		var busy float64
-		for _, s := range c.Slots {
+		for _, s := range c.Slots() {
 			busy += s.Completion - s.Start
 			if s.Start < 20 {
 				t.Fatalf("slot starts before now: %+v", s)
@@ -165,7 +165,7 @@ func TestCandidateZeroProcsClamped(t *testing.T) {
 
 func TestEmptyCandidate(t *testing.T) {
 	c := BuildCandidate(FCFS{}, 42, 2, nil, nil)
-	if len(c.Slots) != 0 || c.Makespan() != 42 || c.TotalExpectedYield() != 0 {
+	if len(c.Slots()) != 0 || c.Makespan() != 42 || c.TotalExpectedYield() != 0 {
 		t.Errorf("empty candidate misbehaves: %+v", c)
 	}
 }

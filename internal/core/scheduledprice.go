@@ -68,10 +68,9 @@ func (p ScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
 		for pos, idx := range order {
 			ordered[pos] = tasks[idx]
 		}
-		cand := buildCandidateOrdered(now, p.effProcs(), nil, ordered)
-		for _, idx := range order {
-			slot, _ := cand.Slot(tasks[idx].ID)
-			prios[idx] = tasks[idx].YieldAtCompletion(slot.Completion) / tasks[idx].RPT
+		slots := listSchedule(now, p.effProcs(), nil, ordered)
+		for pos, idx := range order {
+			prios[idx] = tasks[idx].YieldAtCompletion(slots[pos].Completion) / tasks[idx].RPT
 		}
 		p.sortByPriority(order, prios, tasks)
 	}

@@ -154,6 +154,14 @@ type Site struct {
 	// single-pass dispatcher's equivalence tests.
 	seedDispatch bool
 
+	// Scratch for preemptIfBeneficial, reused across passes: the ranked
+	// union (pending first, then running), and for its running part the
+	// executions, their stored RPTs and whether each may be preempted.
+	union       []*task.Task
+	unionEx     []*execution
+	savedRPT    []float64
+	preemptable []bool
+
 	metrics Metrics
 }
 
@@ -414,21 +422,18 @@ const minPreemptableRPT = 1e-9
 // passes performed.
 func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
 	for len(s.pending) > 0 && len(s.running) > 0 {
-		union := make([]*task.Task, 0, len(s.pending)+len(s.running))
-		union = append(union, s.pending...)
+		// union[:np] is the pending queue; union[np+j] is running task j.
+		np := len(s.pending)
+		union := append(s.union[:0], s.pending...)
+		exs, saved, preemptable := s.unionEx[:0], s.savedRPT[:0], s.preemptable[:0]
 		// Snapshot each running task's stored RPT, then install the ranking
 		// basis (remaining work, or full restart cost) for the priority
 		// computation; the snapshots are restored before any action.
-		type saved struct {
-			ex  *execution
-			rpt float64
-		}
-		savedRPTs := make([]saved, 0, len(s.running))
-		preemptable := make(map[task.ID]bool, len(s.running))
 		for _, ex := range s.running {
 			eff := s.effectiveRPT(ex, now)
-			savedRPTs = append(savedRPTs, saved{ex, ex.t.RPT})
-			preemptable[ex.t.ID] = eff > minPreemptableRPT
+			exs = append(exs, ex)
+			saved = append(saved, ex.t.RPT)
+			preemptable = append(preemptable, eff > minPreemptableRPT)
 			if s.cfg.PreemptRanking == RestartCost {
 				ex.t.RPT = ex.t.Runtime
 			} else {
@@ -436,17 +441,18 @@ func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
 			}
 			union = append(union, ex.t)
 		}
+		s.union, s.unionEx, s.savedRPT, s.preemptable = union, exs, saved, preemptable
 		prios := s.cfg.Policy.Priorities(now, union)
 		rankOps++
 
 		bestPending, worstRunning := -1, -1
 		for i, t := range union {
-			if t.State == task.Queued {
+			if i < np {
 				if bestPending < 0 || prios[i] > prios[bestPending] ||
 					(prios[i] == prios[bestPending] && t.ID < union[bestPending].ID) {
 					bestPending = i
 				}
-			} else if preemptable[t.ID] {
+			} else if preemptable[i-np] {
 				if worstRunning < 0 || prios[i] < prios[worstRunning] ||
 					(prios[i] == prios[worstRunning] && t.ID > union[worstRunning].ID) {
 					worstRunning = i
@@ -458,8 +464,8 @@ func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
 			prios[bestPending] > prios[worstRunning]+preemptEpsilon
 		// Restore the true stored RPTs before acting; preempt() derives the
 		// victim's post-preemption RPT from its execution record.
-		for _, sv := range savedRPTs {
-			sv.ex.t.RPT = sv.rpt
+		for j, ex := range exs {
+			ex.t.RPT = saved[j]
 		}
 		if !doSwap {
 			return rankOps
