@@ -42,65 +42,42 @@ func (q Quote) String() string {
 // already integrates it. discountRate is the present-value discount used in
 // the slack numerator.
 //
-// The cost term follows Equation 8: accepting t delays each task behind it
-// in the candidate schedule by t's runtime, costing decay_j * runtime_t
-// each. The slack follows Equation 7: how much extra delay t tolerates
-// before its discounted reward, net of the cost it imposes, reaches zero.
-// Tasks with zero decay never lose value, so their slack is +Inf unless
-// the net reward is already negative.
+// The cost term follows Equation 8: accepting t delays each task ranked
+// behind it in the candidate schedule by t's runtime, costing
+// decay_j * runtime_t each. The slack follows Equation 7: how much extra
+// delay t tolerates before its discounted reward, net of the cost it
+// imposes, reaches zero. Tasks with zero decay never lose value, so their
+// slack is +Inf unless the net reward is already negative.
 func Evaluate(t *task.Task, cand *core.Candidate, discountRate float64) (Quote, error) {
-	slot, ok := cand.Slot(t.ID)
+	at, ok := cand.Locate(t.ID)
 	if !ok {
 		return Quote{}, fmt.Errorf("admission: task %d not in candidate schedule", t.ID)
 	}
-	pv := t.YieldAtCompletion(slot.Completion) / (1 + discountRate*t.RPT)
-
-	var cost float64
-	for _, behind := range cand.Behind(t.ID) {
-		cost += behind.Decay * t.Runtime
-	}
-
-	net := pv - cost
-	var slack float64
-	switch {
-	case t.Decay > 0:
-		slack = net / t.Decay
-	case net >= 0:
-		slack = math.Inf(1)
-	default:
-		slack = math.Inf(-1)
-	}
-
-	return Quote{
-		TaskID:             t.ID,
-		Now:                cand.Now,
-		ExpectedStart:      slot.Start,
-		ExpectedCompletion: slot.Completion,
-		ExpectedYield:      t.YieldAtCompletion(slot.Completion),
-		PresentValue:       pv,
-		Cost:               cost,
-		Slack:              slack,
-	}, nil
+	return price(t, cand.Now, at.Slot, cand.Ranked()[at.Pos+1:], discountRate), nil
 }
 
 // EvaluateInsertion builds the same quote Evaluate would, from a base
 // candidate schedule (which does NOT contain t) plus the insertion
 // computed by cand.WithTask(t). The tasks t would delay are exactly the
-// base's ranked tasks from the insertion position on, accumulated in the
-// same order Evaluate walks Behind, so the two paths produce bit-identical
-// quotes for policies whose insertion keys are exact. It reads only the
-// base's ranking, never its list-scheduled slots.
+// base's ranked tasks from the insertion position on, in the order
+// Evaluate sums them, so the two produce bit-identical quotes for
+// policies whose insertion keys are exact.
 //
 // This is the negotiation fast path: one base candidate answers m
 // competing proposals in O(m·(log n + n)) instead of m full O(n log n)
 // rebuilds.
 func EvaluateInsertion(t *task.Task, cand *core.Candidate, ins core.Insertion, discountRate float64) Quote {
-	slot := ins.Slot
+	return price(t, cand.Now, ins.Slot, cand.Ranked()[ins.Pos:], discountRate)
+}
+
+// price evaluates t in slot with Equations 7 and 8, given the tasks ranked
+// behind it.
+func price(t *task.Task, now float64, slot core.Slot, behind []*task.Task, discountRate float64) Quote {
 	pv := t.YieldAtCompletion(slot.Completion) / (1 + discountRate*t.RPT)
 
 	var cost float64
-	for _, behind := range cand.Ranked()[ins.Pos:] {
-		cost += behind.Decay * t.Runtime
+	for _, b := range behind {
+		cost += b.Decay * t.Runtime
 	}
 
 	net := pv - cost
@@ -116,7 +93,7 @@ func EvaluateInsertion(t *task.Task, cand *core.Candidate, ins core.Insertion, d
 
 	return Quote{
 		TaskID:             t.ID,
-		Now:                cand.Now,
+		Now:                now,
 		ExpectedStart:      slot.Start,
 		ExpectedCompletion: slot.Completion,
 		ExpectedYield:      t.YieldAtCompletion(slot.Completion),

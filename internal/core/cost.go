@@ -40,8 +40,9 @@ func unboundedSet(tasks []*task.Task) bool {
 // vanish and the per-unit cost simplifies to Equation 5,
 // cost_i/RPT_i = sum(d_j) - d_i, computable in O(n). For mixed or bounded
 // sets, a sort over remaining decay times plus prefix sums evaluates the
-// general form in O(n log n) — the paper's O(n^2) formulation is kept
-// behind forceGeneral for the ablation benchmark.
+// general form in O(n log n). forceGeneral selects the paper's O(n^2)
+// formulation instead, the reference the tests and benchmarks compare the
+// fast paths against.
 func OpportunityCosts(now float64, tasks []*task.Task, forceGeneral bool) []float64 {
 	if forceGeneral {
 		return generalCosts(now, tasks)

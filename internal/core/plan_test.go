@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,6 +45,27 @@ func seedStarts(p Policy, now float64, free int, pending []*task.Task) []*task.T
 	return starts
 }
 
+// generalFirstReward ranks as FirstReward does, but through the quadratic
+// Eq. 4 evaluator on every task set. It declares no capability, so dispatch
+// re-ranks before every start and quotes rebuild: the slow reference the
+// fast paths are held to.
+type generalFirstReward struct {
+	Alpha, DiscountRate float64
+}
+
+func (p generalFirstReward) Name() string {
+	return fmt.Sprintf("FirstRewardGeneral(alpha=%g,rate=%g)", p.Alpha, p.DiscountRate)
+}
+
+func (p generalFirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
+	costs := OpportunityCosts(now, tasks, true)
+	out := make([]float64, len(tasks))
+	for i, t := range tasks {
+		out[i] = (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*costs[i]) / t.RPT
+	}
+	return out
+}
+
 func planPolicies() []Policy {
 	return []Policy{
 		FCFS{},
@@ -53,7 +75,7 @@ func planPolicies() []Policy {
 		PresentValue{DiscountRate: 0.01},
 		FirstReward{Alpha: 0.3, DiscountRate: 0.01},
 		FirstReward{Alpha: 0.8, DiscountRate: 0.02},
-		FirstReward{Alpha: 0.3, DiscountRate: 0.01, ForceGeneralCost: true},
+		generalFirstReward{Alpha: 0.3, DiscountRate: 0.01},
 		ScheduledPrice{Processors: 4},
 	}
 }
@@ -169,7 +191,7 @@ func TestPlanStartsRankOps(t *testing.T) {
 		{"PV", PresentValue{DiscountRate: 0.01}, true, 1},
 		{"FirstReward unbounded", FirstReward{Alpha: 0.3, DiscountRate: 0.01}, false, 1},
 		{"FirstReward bounded", FirstReward{Alpha: 0.3, DiscountRate: 0.01}, true, 8},
-		{"FirstReward general ablation", FirstReward{Alpha: 0.3, DiscountRate: 0.01, ForceGeneralCost: true}, false, 8},
+		{"FirstReward general ablation", generalFirstReward{Alpha: 0.3, DiscountRate: 0.01}, false, 8},
 		{"ScheduledPrice", ScheduledPrice{Processors: 4}, true, 8},
 	}
 	for _, tc := range cases {
@@ -203,6 +225,20 @@ func TestPlanStartsEdgeCases(t *testing.T) {
 	}
 }
 
+// rebuiltSlot list-schedules the full ranking of pending+probe and returns
+// the probe's slot and rank position.
+func rebuiltSlot(t *testing.T, p Policy, now float64, procs int, busy []float64, pending []*task.Task, probe *task.Task) (Slot, int) {
+	t.Helper()
+	with := append(append([]*task.Task(nil), pending...), probe)
+	for i, s := range listSchedule(now, procs, busy, RankOrder(p, now, with)) {
+		if s.Task == probe {
+			return s, i
+		}
+	}
+	t.Fatalf("%s: probe missing from rebuild", p.Name())
+	return Slot{}, 0
+}
+
 // TestWithTaskMatchesRebuild: incremental insertion must land the probe in
 // the same rank position with the same start and completion a full rebuild
 // assigns. Per-task-key policies are exact; FirstReward's insertion key is
@@ -226,16 +262,12 @@ func TestWithTaskMatchesRebuild(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: WithTask unsupported", p.Name())
 				}
-				rebuilt := BuildCandidate(p, now, procs, busy, append(append([]*task.Task(nil), pending...), pr))
-				slot, found := rebuilt.Slot(pr.ID)
-				if !found {
-					t.Fatalf("%s: probe missing from rebuild", p.Name())
-				}
+				slot, want := rebuiltSlot(t, p, now, procs, busy, pending, pr)
 				if ins.Slot.Start != slot.Start || ins.Slot.Completion != slot.Completion {
 					t.Fatalf("%s probe %d: incremental slot [%g, %g], rebuild [%g, %g]",
 						p.Name(), pr.ID, ins.Slot.Start, ins.Slot.Completion, slot.Start, slot.Completion)
 				}
-				if want := rebuilt.index[pr.ID]; ins.Pos != want {
+				if ins.Pos != want {
 					t.Fatalf("%s probe %d: Pos %d, rebuild rank %d", p.Name(), pr.ID, ins.Pos, want)
 				}
 			}
@@ -255,11 +287,7 @@ func TestWithTaskMatchesRebuild(t *testing.T) {
 		if !ok {
 			t.Fatal("FirstReward unbounded: WithTask unsupported")
 		}
-		rebuilt := BuildCandidate(fr, now, procs, busy, append(append([]*task.Task(nil), pending...), pr))
-		slot, found := rebuilt.Slot(pr.ID)
-		if !found {
-			t.Fatal("FirstReward: probe missing from rebuild")
-		}
+		slot, _ := rebuiltSlot(t, fr, now, procs, busy, pending, pr)
 		if math.Abs(ins.Slot.Start-slot.Start) > 1e-9 || math.Abs(ins.Slot.Completion-slot.Completion) > 1e-9 {
 			t.Fatalf("FirstReward probe %d: incremental slot [%g, %g], rebuild [%g, %g]",
 				pr.ID, ins.Slot.Start, ins.Slot.Completion, slot.Start, slot.Completion)
@@ -285,7 +313,7 @@ func TestWithTaskUnsupported(t *testing.T) {
 	}{
 		{"FirstReward bounded base", fr, boundedPending, unboundedProbe},
 		{"FirstReward bounded probe", fr, unboundedPending, boundedProbe},
-		{"FirstReward general ablation", FirstReward{Alpha: 0.3, DiscountRate: 0.01, ForceGeneralCost: true}, unboundedPending, unboundedProbe},
+		{"FirstReward general ablation", generalFirstReward{Alpha: 0.3, DiscountRate: 0.01}, unboundedPending, unboundedProbe},
 		{"ScheduledPrice", ScheduledPrice{Processors: 2}, boundedPending, boundedProbe},
 	}
 	for _, tc := range cases {

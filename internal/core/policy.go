@@ -218,11 +218,6 @@ func PV(t *task.Task, now, discountRate float64) float64 {
 type FirstReward struct {
 	Alpha        float64
 	DiscountRate float64
-	// ForceGeneralCost disables the O(n log n) unbounded-penalty fast path
-	// (Equation 5) and always evaluates the general bounded-penalty cost
-	// (Equation 4). It exists for the ablation benchmarks; leave false in
-	// production use.
-	ForceGeneralCost bool
 }
 
 // Name implements Policy.
@@ -232,7 +227,7 @@ func (p FirstReward) Name() string {
 
 // Priorities implements Policy.
 func (p FirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
-	costs := OpportunityCosts(now, tasks, p.ForceGeneralCost)
+	costs := OpportunityCosts(now, tasks, false)
 	out := make([]float64, len(tasks))
 	for i, t := range tasks {
 		out[i] = (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*costs[i]) / t.RPT
@@ -246,10 +241,9 @@ func (p FirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
 // (1−alpha)·d_k from every task's reward uniformly, so the relative order
 // survives and one rank per dispatch event is exact. Bounded penalties
 // break the uniform shift (Eq. 4's min(RPT_i, expire_j) terms differ per
-// task), and ForceGeneralCost deliberately routes through Eq. 4, so both
-// force re-ranking.
+// task) and force re-ranking.
 func (p FirstReward) StableUnderRemovalFor(tasks []*task.Task) bool {
-	return !p.ForceGeneralCost && unboundedSet(tasks)
+	return unboundedSet(tasks)
 }
 
 // InsertKey implements Inserter for the all-unbounded case. Inserting t
@@ -261,7 +255,7 @@ func (p FirstReward) StableUnderRemovalFor(tasks []*task.Task) bool {
 // untouched. t's Eq. 5 cost over S∪{t} is RPT_t·totalD_S; shifting adds
 // (1−alpha)·d_t, i.e. the cost term becomes RPT_t·(totalD_S − d_t).
 func (p FirstReward) InsertKey(now float64, t *task.Task, base []*task.Task) (float64, bool) {
-	if p.ForceGeneralCost || !unboundedLike(t) || !unboundedSet(base) {
+	if !unboundedLike(t) || !unboundedSet(base) {
 		return 0, false
 	}
 	var totalD float64

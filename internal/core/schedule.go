@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/task"
 )
@@ -18,22 +17,14 @@ type Slot struct {
 	Completion float64
 }
 
-// ExpectedYield evaluates the slot's value function at its expected
-// completion time.
-func (s Slot) ExpectedYield() float64 {
-	return s.Task.YieldAtCompletion(s.Completion)
-}
-
 // Candidate is a site's candidate schedule (Section 6): the priority order
-// its pending tasks would run in, with expected start and completion times
-// from list-scheduling that order onto the site's processors behind the
+// its pending tasks would run in on the site's processors, behind the
 // currently running work.
 //
-// The ranking is computed when the candidate is built; the list-scheduled
-// slots are computed on first read (Slots, Slot, Behind, Makespan,
-// TotalExpectedYield), at most once and safely under concurrent readers.
-// An insertion quote — WithTask plus admission.EvaluateInsertion — reads
-// only the ranking, so it never list-schedules the base.
+// A candidate holds only the ranking. A task's slot is found by replaying
+// list-scheduling of the tasks ranked ahead of it (Locate, WithTask), so no
+// reader ever list-schedules the whole queue. A built candidate is never
+// mutated and is safe for concurrent readers.
 type Candidate struct {
 	Now float64
 
@@ -42,17 +33,13 @@ type Candidate struct {
 	busy   []float64    // copy of the busyUntil passed to BuildCandidate
 	tasks  []*task.Task // pending tasks in rank order
 	prios  []float64    // priority per ranked task, aligned with tasks
-
-	once  sync.Once
-	slots []Slot // tasks list-scheduled in rank order; set by once
-	index map[task.ID]int
 }
 
 // BuildCandidate constructs a candidate schedule. busyUntil holds one entry
 // per processor occupied by a running task — the time that processor frees
 // up; processors beyond len(busyUntil) (up to procs) are idle now. pending
-// is ranked by the policy and list-scheduled greedily: each task in
-// priority order claims the earliest-free processor.
+// is ranked by the policy; each task in priority order would claim the
+// earliest-free processor.
 func BuildCandidate(policy Policy, now float64, procs int, busyUntil []float64, pending []*task.Task) *Candidate {
 	ordered, prios := rankWithPriorities(policy, now, pending)
 	return &Candidate{
@@ -65,34 +52,28 @@ func BuildCandidate(policy Policy, now float64, procs int, busyUntil []float64, 
 	}
 }
 
-// Ranked returns the candidate's tasks in rank order — the order Slots
-// lists them in — without list-scheduling them. The slice must not be
-// modified.
+// Ranked returns the candidate's tasks in rank order — the order they would
+// start in. The slice must not be modified.
 func (c *Candidate) Ranked() []*task.Task { return c.tasks }
 
-// Slots returns the candidate schedule in expected start order,
-// list-scheduling it on the first call. The slice must not be modified.
-func (c *Candidate) Slots() []Slot {
-	c.materialise()
-	return c.slots
-}
-
-// materialise list-schedules the ranked tasks and indexes the slots by task
-// ID, once.
-func (c *Candidate) materialise() {
-	c.once.Do(func() {
-		c.slots = listSchedule(c.Now, c.procs, c.busy, c.tasks)
-		c.index = make(map[task.ID]int, len(c.slots))
-		for i, s := range c.slots {
-			c.index[s.Task.ID] = i
+// Locate finds the candidate's task with the given ID (the last in rank
+// order if IDs repeat) and returns its rank position and the slot
+// list-scheduling gives it. ok is false when no task has the ID. Cost is
+// O(n) for the scan plus the replay of the tasks ahead of it.
+func (c *Candidate) Locate(id task.ID) (Insertion, bool) {
+	for pos := len(c.tasks) - 1; pos >= 0; pos-- {
+		if t := c.tasks[pos]; t.ID == id {
+			return Insertion{Slot: c.slotAfter(pos, t), Pos: pos}, true
 		}
-	})
+	}
+	return Insertion{}, false
 }
 
 // Insertion is the result of evaluating one extra task against a base
 // candidate schedule: the slot it would occupy and the rank position it
 // would take, with every base task at Pos and later shifted one place
-// behind it.
+// behind it. Locate reports a task already in the candidate the same way,
+// with Pos its own position.
 type Insertion struct {
 	Slot Slot
 	Pos  int // index into the base ranking the task would be inserted at
@@ -108,8 +89,7 @@ type Insertion struct {
 // the rank position comes from a binary search of the insertion key
 // against the base priorities, and the start time replays list-scheduling
 // of the first Pos ranked tasks onto the processors. Cost is O(log n) for
-// the search plus O(Pos) for the replay; the base's own slots are never
-// computed.
+// the search plus O(Pos) for the replay.
 func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 	ins, ok := c.policy.(Inserter)
 	if !ok {
@@ -131,14 +111,18 @@ func (c *Candidate) WithTask(t *task.Task) (Insertion, bool) {
 		return t.ID < c.tasks[i].ID
 	})
 
-	// Replay list-scheduling of the tasks ahead of t to find the
-	// earliest-free processor at its turn.
+	return Insertion{Slot: c.slotAfter(pos, t), Pos: pos}, true
+}
+
+// slotAfter replays list-scheduling of the first pos ranked tasks and
+// returns the slot t takes on the earliest-free processor at its turn.
+func (c *Candidate) slotAfter(pos int, t *task.Task) Slot {
 	free := newFreeTimes(c.Now, c.procs, c.busy)
 	for _, b := range c.tasks[:pos] {
 		free.claim(b.RPT)
 	}
 	at := free.claim(t.RPT)
-	return Insertion{Slot: Slot{Task: t, Start: at, Completion: at + t.RPT}, Pos: pos}, true
+	return Slot{Task: t, Start: at, Completion: at + t.RPT}
 }
 
 // listSchedule assigns each task of an explicit dispatch order, in turn, to
@@ -257,53 +241,4 @@ func sortRanked(prios []float64, pending []*task.Task) []*task.Task {
 		prios[i] = p.prio
 	}
 	return out
-}
-
-// Slot returns the slot for a task, if present.
-func (c *Candidate) Slot(id task.ID) (Slot, bool) {
-	c.materialise()
-	i, ok := c.index[id]
-	if !ok {
-		return Slot{}, false
-	}
-	return c.slots[i], true
-}
-
-// Behind returns the tasks scheduled after the given task in the candidate
-// schedule — the tasks that accepting it would delay (Equation 8's
-// summation set).
-func (c *Candidate) Behind(id task.ID) []*task.Task {
-	c.materialise()
-	i, ok := c.index[id]
-	if !ok {
-		return nil
-	}
-	out := make([]*task.Task, 0, len(c.slots)-i-1)
-	for _, s := range c.slots[i+1:] {
-		out = append(out, s.Task)
-	}
-	return out
-}
-
-// TotalExpectedYield sums the expected yields across the schedule. It is
-// the planner's estimate of the value the current mix will earn absent
-// further arrivals.
-func (c *Candidate) TotalExpectedYield() float64 {
-	var sum float64
-	for _, s := range c.Slots() {
-		sum += s.ExpectedYield()
-	}
-	return sum
-}
-
-// Makespan returns the latest expected completion in the schedule, or Now
-// if it is empty.
-func (c *Candidate) Makespan() float64 {
-	m := c.Now
-	for _, s := range c.Slots() {
-		if s.Completion > m {
-			m = s.Completion
-		}
-	}
-	return m
 }

@@ -129,8 +129,9 @@ func allowedList(list []string) string {
 //	scheduledprice[:procs=P,rounds=K]
 //
 // Defaults: rate 0.01, alpha 0.3 (the paper's headline configuration). No
-// policy takes a flag: FirstReward's O(n²) Eq. 4 path (ForceGeneralCost) is
-// a test reference, set in code, never from a spec.
+// policy takes a flag. FirstReward always ranks through the fast Eq. 4/5
+// evaluators; the O(n²) Eq. 4 reference (OpportunityCosts with
+// forceGeneral) is reachable only from code.
 func ParseSpec(spec string) (Policy, error) {
 	sp, err := SplitSpec(spec)
 	if err != nil {

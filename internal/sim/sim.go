@@ -8,16 +8,15 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
-
-	"repro/internal/pqueue"
 )
 
 // Handle identifies a scheduled event and allows it to be canceled, e.g.
 // when a running task is preempted and its completion event must be
 // withdrawn.
 type Handle struct {
-	item     *pqueue.Item[*event]
+	ev       *event
 	engine   *Engine
 	canceled bool
 }
@@ -29,38 +28,65 @@ func (h *Handle) Cancel() {
 		return
 	}
 	h.canceled = true
-	h.engine.agenda.Remove(h.item)
+	if h.ev.index >= 0 {
+		heap.Remove(&h.engine.agenda, h.ev.index)
+	}
 }
 
 // Canceled reports whether Cancel was called before the event fired.
 func (h *Handle) Canceled() bool { return h != nil && h.canceled }
 
 type event struct {
-	time float64
-	seq  uint64
-	fn   func()
+	time  float64
+	seq   uint64
+	fn    func()
+	index int // position in the agenda, -1 once fired or canceled
 }
 
-// Engine is a discrete-event simulator. The zero value is not usable;
-// construct with New.
+// agenda is a min-heap of pending events ordered by (time, seq). Each event
+// tracks its own position, so a canceled one is removed in O(log n).
+type agenda []*event
+
+func (a agenda) Len() int { return len(a) }
+
+func (a agenda) Less(i, j int) bool {
+	if a[i].time != a[j].time {
+		return a[i].time < a[j].time
+	}
+	return a[i].seq < a[j].seq
+}
+
+func (a agenda) Swap(i, j int) {
+	a[i], a[j] = a[j], a[i]
+	a[i].index = i
+	a[j].index = j
+}
+
+func (a *agenda) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*a)
+	*a = append(*a, ev)
+}
+
+func (a *agenda) Pop() any {
+	old := *a
+	ev := old[len(old)-1]
+	old[len(old)-1] = nil
+	ev.index = -1
+	*a = old[:len(old)-1]
+	return ev
+}
+
+// Engine is a discrete-event simulator. Construct with New.
 type Engine struct {
 	now    float64
 	seq    uint64
-	agenda *pqueue.Queue[*event]
+	agenda agenda
 	steps  uint64
 }
 
 // New returns an engine with the clock at zero and an empty agenda.
-func New() *Engine {
-	return &Engine{
-		agenda: pqueue.New(func(a, b *event) bool {
-			if a.time != b.time {
-				return a.time < b.time
-			}
-			return a.seq < b.seq
-		}),
-	}
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() float64 { return e.now }
@@ -70,7 +96,7 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending reports the number of scheduled, unfired events.
-func (e *Engine) Pending() int { return e.agenda.Len() }
+func (e *Engine) Pending() int { return len(e.agenda) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it indicates a logic error in the caller, and silently reordering
@@ -81,7 +107,8 @@ func (e *Engine) At(t float64, fn func()) *Handle {
 	}
 	e.seq++
 	ev := &event{time: t, seq: e.seq, fn: fn}
-	return &Handle{item: e.agenda.Push(ev), engine: e}
+	heap.Push(&e.agenda, ev)
+	return &Handle{ev: ev, engine: e}
 }
 
 // After schedules fn to run d time units from now. Negative d panics.
@@ -91,11 +118,10 @@ func (e *Engine) After(d float64, fn func()) *Handle {
 
 // Step fires the earliest pending event and reports whether one fired.
 func (e *Engine) Step() bool {
-	it := e.agenda.Pop()
-	if it == nil {
+	if len(e.agenda) == 0 {
 		return false
 	}
-	ev := it.Value
+	ev := heap.Pop(&e.agenda).(*event)
 	e.now = ev.time
 	e.steps++
 	ev.fn()
@@ -111,11 +137,7 @@ func (e *Engine) Run() {
 // RunUntil fires events with time <= t, then advances the clock to t. Events
 // scheduled after t remain pending.
 func (e *Engine) RunUntil(t float64) {
-	for {
-		it := e.agenda.Peek()
-		if it == nil || it.Value.time > t {
-			break
-		}
+	for len(e.agenda) > 0 && e.agenda[0].time <= t {
 		e.Step()
 	}
 	if t > e.now {

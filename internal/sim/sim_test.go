@@ -191,6 +191,64 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestRandomizedCancellation schedules events at random times on a coarse
+// grid (so many share an instant), cancels a random subset — some before
+// the run, some from inside earlier events — and cancels others only after
+// they fired, then checks that exactly the survivors fire, in time order
+// with schedule-order ties.
+func TestRandomizedCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		e := New()
+		n := 100 + rng.Intn(400)
+		times := make([]float64, n)
+		handles := make([]*Handle, n)
+		var fired []int
+		for i := range handles {
+			times[i] = float64(rng.Intn(50))
+			handles[i] = e.At(times[i], func() { fired = append(fired, i) })
+		}
+		canceled := make([]bool, n)
+		for i, h := range handles {
+			switch rng.Intn(4) {
+			case 0:
+				h.Cancel()
+				canceled[i] = true
+			case 1:
+				if times[i] > 0 {
+					// A strictly earlier event withdraws it mid-run.
+					e.At(rng.Float64()*times[i], h.Cancel)
+					canceled[i] = true
+				}
+			case 2:
+				// A later event cancels it after it fired: a no-op that must
+				// not disturb the events still queued.
+				e.At(times[i]+1+rng.Float64()*10, h.Cancel)
+			}
+		}
+		e.Run()
+
+		var want []int
+		for i := range handles {
+			if !canceled[i] {
+				want = append(want, i)
+			}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return times[want[a]] < times[want[b]] })
+		if len(fired) != len(want) {
+			t.Fatalf("trial %d: %d events fired, want %d survivors", trial, len(fired), len(want))
+		}
+		for k := range want {
+			if fired[k] != want[k] {
+				t.Fatalf("trial %d: fired[%d] = event %d, want %d", trial, k, fired[k], want[k])
+			}
+		}
+		if e.Pending() != 0 {
+			t.Fatalf("trial %d: %d events still pending after Run", trial, e.Pending())
+		}
+	}
+}
+
 func BenchmarkScheduleAndFire(b *testing.B) {
 	e := New()
 	rng := rand.New(rand.NewSource(1))

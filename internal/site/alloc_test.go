@@ -1,6 +1,8 @@
 package site
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -50,6 +52,40 @@ func TestRunTraceAllocsPerTask(t *testing.T) {
 		if perTask > maxPerTask {
 			t.Errorf("jobs=%d: %.1f allocations per simulated task, want <= %d", jobs, perTask, maxPerTask)
 		}
+	}
+}
+
+// TestSnapshotQuoteAllocs guards the live quote's allocations: at a fresh
+// clock reading, a quote against a published snapshot is one ranking of
+// the book plus an insertion, so it allocates a fixed handful of buffers
+// whatever the depth. FirstReward over an unbounded book 64 deep, behind
+// four busy processors. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestSnapshotQuoteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by the race detector")
+	}
+	const maxPerQuote = 12
+	rng := rand.New(rand.NewSource(3))
+	qs := &QuoteSnapshot{Procs: 4, Policy: core.FirstReward{Alpha: 0.3, DiscountRate: 0.01}, DiscountRate: 0.01}
+	for i := 0; i < 64; i++ {
+		qs.Pending = append(qs.Pending, task.New(task.ID(i+1), rng.Float64()*100, 1+rng.Float64()*50,
+			1+rng.Float64()*200, rng.Float64(), math.Inf(1)))
+	}
+	for i := 0; i < 4; i++ {
+		qs.Running = append(qs.Running, RunningSlot{Start: 90, Runtime: 20 + float64(i)})
+	}
+	probe := task.New(1000, 100, 20, 150, 0.5, math.Inf(1))
+	now := 100.0
+	perQuote := testing.AllocsPerRun(200, func() {
+		now += 0.001 // live quotes rarely share a clock reading
+		if _, err := qs.Quote(now, probe); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.1f allocations per snapshot quote", perQuote)
+	if perQuote > maxPerQuote {
+		t.Errorf("%.1f allocations per snapshot quote, want <= %d", perQuote, maxPerQuote)
 	}
 }
 

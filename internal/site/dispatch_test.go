@@ -1,6 +1,7 @@
 package site
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -10,6 +11,27 @@ import (
 	"repro/internal/task"
 	"repro/internal/workload"
 )
+
+// generalFirstReward ranks as core.FirstReward does, but through the
+// quadratic Eq. 4 evaluator on every task set. It declares no capability,
+// so the site re-ranks before every start and rebuilds every quote: the
+// slow reference the fast paths are held to.
+type generalFirstReward struct {
+	Alpha, DiscountRate float64
+}
+
+func (p generalFirstReward) Name() string {
+	return fmt.Sprintf("FirstRewardGeneral(alpha=%g,rate=%g)", p.Alpha, p.DiscountRate)
+}
+
+func (p generalFirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
+	costs := core.OpportunityCosts(now, tasks, true)
+	out := make([]float64, len(tasks))
+	for i, t := range tasks {
+		out[i] = (p.Alpha*core.PV(t, now, p.DiscountRate) - (1-p.Alpha)*costs[i]) / t.RPT
+	}
+	return out
+}
 
 // runDispatchTrace runs the trace on a fresh site, optionally forcing the
 // seed per-start re-rank dispatcher, and returns the metrics plus the
@@ -52,7 +74,7 @@ func TestDispatchMatchesSeedPerStartRerank(t *testing.T) {
 		core.FirstPrice{},
 		core.PresentValue{DiscountRate: 0.01},
 		core.FirstReward{Alpha: 0.3, DiscountRate: 0.01}, // unbounded trace: conditionally stable
-		core.FirstReward{Alpha: 0.3, DiscountRate: 0.01, ForceGeneralCost: true},
+		generalFirstReward{Alpha: 0.3, DiscountRate: 0.01},
 		core.ScheduledPrice{Processors: 8},
 	}
 	for _, policy := range policies {
@@ -249,7 +271,7 @@ func TestIncrementalQuoteMatchesRebuildQuote(t *testing.T) {
 				return
 			}
 			with := append(append([]*task.Task(nil), s.pending...), probe)
-			cand := core.BuildCandidate(s.cfg.Policy, now, s.procs, s.busyUntil(now), with)
+			cand := core.BuildCandidate(s.cfg.Policy, now, s.procs, s.snapshot().BusyUntil(now), with)
 			qSlow, err := admission.Evaluate(probe, cand, s.cfg.DiscountRate)
 			if err != nil {
 				t.Error(err)

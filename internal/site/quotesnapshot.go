@@ -20,14 +20,15 @@ type RunningSlot struct {
 // QuoteSnapshot is an immutable, versioned picture of a site's scheduling
 // state — everything a quote needs and nothing a quote can change. Once
 // published it is never mutated, so any number of readers may rank bids
-// against it concurrently with zero locks; Pending holds private copies of
-// the queued tasks, decoupled from the live structs the scheduler mutates.
+// against it concurrently with zero locks. A published snapshot's Pending
+// holds private copies of the queued tasks, decoupled from the live structs
+// the scheduler mutates; the simulator's own view aliases its queue instead
+// and is retired before the queue changes.
 //
-// Version is the site's state-version counter at capture (the same counter
-// PR 3's (now, version) candidate cache keys on). An award computed against
-// a snapshot re-validates that the live version still matches under the
-// write lock before committing; a mismatch means the scheduling state moved
-// and the quote must be recomputed.
+// Version is the site's state-version counter at capture. An award
+// computed against a snapshot re-validates that the live version still
+// matches under the write lock before committing; a mismatch means the
+// scheduling state moved and the quote must be recomputed.
 type QuoteSnapshot struct {
 	Version      uint64
 	Procs        int
@@ -42,14 +43,17 @@ type QuoteSnapshot struct {
 	// exact arrival order a single-shard book would hold; single-book
 	// publishers (the simulator) leave it nil.
 	Seqs []uint64
+
+	// base caches the candidate schedule of Pending alone, ranked at the
+	// clock reading in its Now. The rest of the snapshot never changes, so
+	// now is the whole cache key; concurrent quoters may race to fill it,
+	// and whichever identical build lands is kept.
+	base atomic.Pointer[core.Candidate]
 }
 
-// BusyUntil prices each occupied processor's release time as of now, with
-// the exact arithmetic of the locked quote path (Site.busyUntil): the
+// BusyUntil prices each occupied processor's release time as of now: the
 // remaining work is Runtime - (now - Start) clamped at zero, and the
-// release is now + remaining. Keeping the float expressions identical —
-// not just algebraically equal — is what lets the differential tests
-// demand bit-identical quotes from the snapshot and locked paths.
+// release is now + remaining.
 func (qs *QuoteSnapshot) BusyUntil(now float64) []float64 {
 	busy := make([]float64, 0, len(qs.Running))
 	for _, r := range qs.Running {
@@ -63,19 +67,47 @@ func (qs *QuoteSnapshot) BusyUntil(now float64) []float64 {
 }
 
 // Quote evaluates a proposed task against the snapshot at clock reading
-// now: the probe joins the snapshot's pending set, the whole set is ranked
-// and list-scheduled behind the running work, and the probe's slot is
-// priced (Section 6's candidate-schedule evaluation). It acquires no locks
-// and leaves the snapshot untouched.
+// now (Section 6): the slot the probe would take in the candidate schedule
+// of pending+probe, and the cost it would impose on the tasks ranked behind
+// it. It acquires no locks and leaves the snapshot's state untouched.
+//
+// When the policy has an insertion key for the probe (core.Inserter), the
+// probe is inserted into a base candidate of Pending: one ranking, an
+// O(log n) search and a replay of the tasks ahead. The base is cached on
+// the snapshot per clock reading, so quotes at one instant share it.
+// Otherwise the candidate of pending+probe is built in full.
 func (qs *QuoteSnapshot) Quote(now float64, probe *task.Task) (admission.Quote, error) {
+	q, _, err := qs.quote(now, probe)
+	return q, err
+}
+
+// quote is Quote, also reporting whether the cached base candidate
+// answered it; every other quote built one candidate schedule.
+func (qs *QuoteSnapshot) quote(now float64, probe *task.Task) (q admission.Quote, reused bool, err error) {
 	if err := probe.Validate(); err != nil {
-		return admission.Quote{}, err
+		return admission.Quote{}, false, err
+	}
+	if ins, ok := qs.Policy.(core.Inserter); ok {
+		// Probe the key first: for task sets the policy has no key for (e.g.
+		// FirstReward over bounded penalties) a base would be wasted.
+		if _, ok := ins.InsertKey(now, probe, qs.Pending); ok {
+			base := qs.base.Load()
+			reused = base != nil && base.Now == now
+			if !reused {
+				base = core.BuildCandidate(qs.Policy, now, qs.Procs, qs.BusyUntil(now), qs.Pending)
+				qs.base.Store(base)
+			}
+			if at, ok := base.WithTask(probe); ok {
+				return admission.EvaluateInsertion(probe, base, at, qs.DiscountRate), reused, nil
+			}
+		}
 	}
 	with := make([]*task.Task, 0, len(qs.Pending)+1)
 	with = append(with, qs.Pending...)
 	with = append(with, probe)
 	cand := core.BuildCandidate(qs.Policy, now, qs.Procs, qs.BusyUntil(now), with)
-	return admission.Evaluate(probe, cand, qs.DiscountRate)
+	q, err = admission.Evaluate(probe, cand, qs.DiscountRate)
+	return q, false, err
 }
 
 // Board publishes the latest QuoteSnapshot to lock-free readers via a
@@ -94,31 +126,3 @@ func (b *Board) Load() *QuoteSnapshot { return b.p.Load() }
 // Publish installs qs as the current snapshot. The caller must not mutate
 // qs afterwards.
 func (b *Board) Publish(qs *QuoteSnapshot) { b.p.Store(qs) }
-
-// QuoteSnapshot captures the site's current scheduling state for lock-free
-// quoting. Pending tasks are copied by value, so later scheduler mutations
-// (dispatch, preemption, completion) never show through; the returned
-// snapshot's Version is the site's state version, making it directly
-// comparable against a later read for staleness.
-func (s *Site) QuoteSnapshot() *QuoteSnapshot {
-	qs := &QuoteSnapshot{
-		Version:      s.version,
-		Procs:        s.procs,
-		Policy:       s.cfg.Policy,
-		DiscountRate: s.cfg.DiscountRate,
-	}
-	if len(s.pending) > 0 {
-		qs.Pending = make([]*task.Task, len(s.pending))
-		for i, t := range s.pending {
-			cp := *t
-			qs.Pending[i] = &cp
-		}
-	}
-	if len(s.running) > 0 {
-		qs.Running = make([]RunningSlot, 0, len(s.running))
-		for _, ex := range s.running {
-			qs.Running = append(qs.Running, RunningSlot{Start: ex.start, Runtime: ex.t.RPT})
-		}
-	}
-	return qs
-}

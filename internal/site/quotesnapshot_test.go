@@ -13,8 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// quotesEqual demands bitwise equality: the snapshot path must reproduce
-// the locked path's floats exactly, not approximately.
+// quotesEqual demands bitwise equality: the quote path must reproduce the
+// reference's floats exactly, not approximately.
 func quotesEqual(a, b admission.Quote) bool {
 	eq := func(x, y float64) bool {
 		return x == y || (math.IsNaN(x) && math.IsNaN(y))
@@ -27,12 +27,65 @@ func quotesEqual(a, b admission.Quote) bool {
 		eq(a.Cost, b.Cost) && eq(a.Slack, b.Slack)
 }
 
-// TestQuoteSnapshotDifferential proves the tentpole's central claim for the
-// simulator site: a quote answered lock-free against a published
-// QuoteSnapshot is bit-identical to the live Site.Quote — same floats,
-// same admission decision — across randomized workloads, policies, and
-// capacities, probed at every submission event (when the queue and running
-// set are in arbitrary mid-run states).
+// rebuildQuote is the reference the quote path is held to: a full rebuild
+// of the candidate schedule of pending+probe — core.RankOrder, then
+// list-scheduling by a linear scan for the earliest-free processor — with
+// Equations 7 and 8 written out. It shares no code with QuoteSnapshot.Quote
+// beyond the policy's priorities and the task's value function.
+func rebuildQuote(s *Site, now float64, probe *task.Task) admission.Quote {
+	var free []float64
+	for _, ex := range s.running {
+		rem := ex.t.RPT - (now - ex.start)
+		if rem < 0 {
+			rem = 0
+		}
+		free = append(free, now+rem)
+	}
+	for len(free) < s.procs {
+		free = append(free, now)
+	}
+	ranked := core.RankOrder(s.cfg.Policy, now, append(append([]*task.Task(nil), s.pending...), probe))
+	var start, cost float64
+	placed := false
+	for _, t := range ranked {
+		if placed {
+			cost += t.Decay * probe.Runtime // Eq. 8: t waits the probe's runtime longer
+			continue
+		}
+		first := 0
+		for i, f := range free {
+			if f < free[first] {
+				first = i
+			}
+		}
+		start = free[first]
+		free[first] = start + t.RPT
+		placed = t == probe
+	}
+	completion := start + probe.RPT
+	yield := probe.YieldAtCompletion(completion)
+	pv := yield / (1 + s.cfg.DiscountRate*probe.RPT)
+	net := pv - cost // Eq. 7
+	slack := math.Inf(1)
+	switch {
+	case probe.Decay > 0:
+		slack = net / probe.Decay
+	case net < 0:
+		slack = math.Inf(-1)
+	}
+	return admission.Quote{
+		TaskID: probe.ID, Now: now,
+		ExpectedStart: start, ExpectedCompletion: completion, ExpectedYield: yield,
+		PresentValue: pv, Cost: cost, Slack: slack,
+	}
+}
+
+// TestQuoteSnapshotDifferential holds the one quote path to an independent
+// full rebuild, bit for bit — same floats, same admission decision — across
+// randomized workloads, policies, and capacities, probed at every
+// submission event (when the queue and running set are in arbitrary mid-run
+// states). Each event quotes twice: a probe that may build the base
+// candidate, then the submission itself, which reuses it.
 func TestQuoteSnapshotDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	policies := []core.Policy{
@@ -77,33 +130,26 @@ func TestQuoteSnapshotDifferential(t *testing.T) {
 		for _, tk := range tr.Clone() {
 			tk := tk
 			engine.At(tk.Arrival, func() {
-				// Probe with a private copy first: Quote and Submit must see
-				// identical inputs, and Submit mutates the task's state.
+				// Probe with a private copy: Submit mutates the task's state.
 				probe := *tk
-				locked, lerr := s.Quote(&probe)
-
-				snap := s.QuoteSnapshot()
-				if snap.Version != s.version {
-					t.Fatalf("trial %d: snapshot version %d != live %d", trial, snap.Version, s.version)
+				want := rebuildQuote(s, engine.Now(), &probe)
+				got, err := s.Quote(&probe)
+				if err != nil {
+					t.Fatalf("trial %d task %d: %v", trial, tk.ID, err)
 				}
-				probe2 := *tk
-				free, ferr := snap.Quote(engine.Now(), &probe2)
-
-				if (lerr == nil) != (ferr == nil) {
-					t.Fatalf("trial %d task %d: locked err %v, snapshot err %v", trial, tk.ID, lerr, ferr)
+				submitted, _, err := s.Submit(tk)
+				if err != nil {
+					t.Fatalf("trial %d task %d: %v", trial, tk.ID, err)
 				}
-				if lerr == nil {
-					if !quotesEqual(locked, free) {
-						t.Fatalf("trial %d task %d: locked %v != snapshot %v", trial, tk.ID, locked, free)
+				for _, q := range []admission.Quote{got, submitted} {
+					if !quotesEqual(q, want) {
+						t.Fatalf("trial %d task %d (%s): quote %v != rebuild %v", trial, tk.ID, cfg.Policy.Name(), q, want)
 					}
-					if adm.Admit(locked) != adm.Admit(free) {
+					if adm.Admit(q) != adm.Admit(want) {
 						t.Fatalf("trial %d task %d: admission decisions diverge", trial, tk.ID)
 					}
-					compared++
 				}
-				if _, _, err := s.Submit(tk); err != nil {
-					panic(err)
-				}
+				compared++
 			})
 		}
 		engine.Run()
@@ -113,76 +159,71 @@ func TestQuoteSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// TestQuoteSnapshotImmutable verifies a published snapshot keeps answering
-// with its capture-time state after the live site has moved on: the
-// pending-task copies and running slots are decoupled from the scheduler's
-// mutations.
-func TestQuoteSnapshotImmutable(t *testing.T) {
-	engine := sim.New()
-	s := New(engine, "immut", Config{Processors: 1, Policy: core.FCFS{}})
-
-	var snap *QuoteSnapshot
-	var before admission.Quote
-	probe := task.New(99, 0, 5, 50, 1, math.Inf(1))
-	engine.At(0, func() {
-		// Occupy the processor and queue one task behind it.
-		a := task.New(1, 0, 10, 100, 1, math.Inf(1))
-		b := task.New(2, 0, 10, 80, 1, math.Inf(1))
-		if _, _, err := s.Submit(a); err != nil {
-			panic(err)
-		}
-		if _, _, err := s.Submit(b); err != nil {
-			panic(err)
-		}
-		snap = s.QuoteSnapshot()
-		p := *probe
-		q, err := snap.Quote(0, &p)
-		if err != nil {
-			panic(err)
-		}
-		before = q
-	})
-	engine.Run() // everything completes; the live site is now idle
-
-	if !s.Idle() {
-		t.Fatal("site should be idle")
+// TestSnapshotConcurrentQuotes: quoters racing on one snapshot at one
+// instant share its cached base candidate, whichever of them builds it, and
+// each answers exactly what a lone quote answers (run under -race).
+func TestSnapshotConcurrentQuotes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pending := make([]*task.Task, 200)
+	for i := range pending {
+		pending[i] = task.New(task.ID(i+1), rng.Float64()*10, 1+rng.Float64()*50,
+			1+rng.Float64()*200, rng.Float64(), math.Inf(1))
 	}
-	p := *probe
-	after, err := snap.Quote(0, &p)
+	snapshot := func() *QuoteSnapshot {
+		return &QuoteSnapshot{Procs: 8, Policy: core.FirstPrice{}, DiscountRate: 0.01,
+			Pending: pending, Running: []RunningSlot{{Start: 0, Runtime: 30}, {Start: 5, Runtime: 12}}}
+	}
+	probe := task.New(1000, 10, 20, 150, 0.5, math.Inf(1))
+	want, err := snapshot().Quote(10, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !quotesEqual(before, after) {
-		t.Fatalf("snapshot answer drifted after live mutations: %v != %v", before, after)
+
+	shared := snapshot()
+	got := make([]admission.Quote, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := *probe
+			got[g], errs[g] = shared.Quote(10, &p)
+		}()
 	}
-	if len(snap.Pending) != 1 || len(snap.Running) != 1 {
-		t.Fatalf("snapshot state mutated: pending %d running %d", len(snap.Pending), len(snap.Running))
+	wg.Wait()
+	for g := range got {
+		if errs[g] != nil || !quotesEqual(got[g], want) {
+			t.Fatalf("quoter %d: %v, %v; lone quote %v", g, got[g], errs[g], want)
+		}
+	}
+	if base := shared.base.Load(); base == nil || base.Now != 10 {
+		t.Fatal("the snapshot cached no base candidate for the shared instant")
 	}
 }
 
 // TestBoardPublishLoad exercises the Board under concurrent readers while a
-// writer republishes: every loaded snapshot must be internally consistent
-// (a version that was actually published) and quotable without data races.
+// writer republishes: every loaded snapshot must be one that was actually
+// published, intact, and quotable without data races — including the race
+// to fill each snapshot's base-candidate cache.
 func TestBoardPublishLoad(t *testing.T) {
-	engine := sim.New()
-	s := New(engine, "board", Config{Processors: 2, Policy: core.SRPT{}})
 	var b Board
 	if b.Load() != nil {
 		t.Fatal("zero Board should be empty")
 	}
 
-	// Build a few distinct snapshots by stepping the site.
 	var snaps []*QuoteSnapshot
+	var pending []*task.Task
 	for i := 0; i < 8; i++ {
-		tk := task.New(task.ID(i+1), 0, float64(i+1), 100, 1, math.Inf(1))
-		engine.At(0, func() {
-			if _, _, err := s.Submit(tk); err != nil {
-				panic(err)
-			}
-			snaps = append(snaps, s.QuoteSnapshot())
+		pending = append(pending, task.New(task.ID(i+1), 0, float64(i+1), 100, 1, math.Inf(1)))
+		snaps = append(snaps, &QuoteSnapshot{
+			Version: uint64(i + 1),
+			Procs:   2,
+			Policy:  core.SRPT{},
+			Pending: pending[: i+1 : i+1],
+			Running: []RunningSlot{{Start: 0, Runtime: float64(10 * i)}},
 		})
 	}
-	engine.Run()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -200,6 +241,10 @@ func TestBoardPublishLoad(t *testing.T) {
 				qs := b.Load()
 				if qs == nil {
 					continue
+				}
+				if qs.Version < 1 || qs.Version > uint64(len(snaps)) || len(qs.Pending) != int(qs.Version) {
+					t.Errorf("loaded a snapshot that was never published: version %d, %d pending", qs.Version, len(qs.Pending))
+					return
 				}
 				p := *probe
 				if _, err := qs.Quote(0, &p); err != nil {

@@ -141,13 +141,11 @@ type Site struct {
 	onComplete []func(*task.Task)
 
 	// version counts scheduling-state changes (queue, running set,
-	// capacity). Together with the simulation clock it keys the cached
-	// base candidate schedule: same (now, version) means the same
-	// schedule, so repeated quotes reuse it.
-	version     uint64
-	baseCand    *core.Candidate
-	baseNow     float64
-	baseVersion uint64
+	// capacity). view is the quote snapshot of the current version; it
+	// aliases the pending queue, so invalidate retires it with every
+	// change. Quotes at one (now, version) share its base candidate.
+	version uint64
+	view    *QuoteSnapshot
 
 	// seedDispatch switches dispatch back to the original per-start
 	// re-rank loop. It exists purely as the differential oracle for the
@@ -218,59 +216,59 @@ func (s *Site) ObserveCompletions(fn func(*task.Task)) {
 // Engine returns the simulation engine the site is attached to.
 func (s *Site) Engine() *sim.Engine { return s.engine }
 
-// invalidate marks the scheduling state changed, retiring the cached base
-// candidate schedule.
-func (s *Site) invalidate() { s.version++ }
-
-// baseCandidate returns the candidate schedule of the current pending
-// queue (no probe task), rebuilding it only when the scheduling state or
-// the clock has moved since the last quote.
-func (s *Site) baseCandidate(now float64) *core.Candidate {
-	if s.baseCand != nil && s.baseNow == now && s.baseVersion == s.version {
-		s.metrics.QuoteReuses++
-		s.recordEvent(EventQuoteHit, 0, 0)
-		return s.baseCand
-	}
-	s.baseCand = core.BuildCandidate(s.cfg.Policy, now, s.procs, s.busyUntil(now), s.pending)
-	s.baseNow = now
-	s.baseVersion = s.version
-	s.metrics.QuoteBuilds++
-	s.recordEvent(EventQuoteMiss, 0, 0)
-	return s.baseCand
+// invalidate marks the scheduling state changed, retiring the quote view
+// and with it the cached base candidate schedule.
+func (s *Site) invalidate() {
+	s.version++
+	s.view = nil
 }
 
 // Quote integrates a proposed task into the site's current candidate
 // schedule and returns its evaluation without accepting it. This is the
 // first half of the negotiation procedure in Section 6.
 //
-// When the policy supports incremental insertion (core.Inserter), the
-// quote is answered against a cached base schedule of the pending queue:
-// m competing proposals at one instant cost one schedule build plus m
-// cheap insertions instead of m full rebuilds. Policies without the
-// capability fall back to the full rebuild.
+// The site prices a bid exactly as the live server does, through
+// QuoteSnapshot.Quote on a view of its current state: m competing
+// proposals at one instant cost one base ranking plus m cheap insertions
+// when the policy supports them (core.Inserter), and a full build each
+// otherwise.
 func (s *Site) Quote(t *task.Task) (admission.Quote, error) {
-	if err := t.Validate(); err != nil {
+	if s.view == nil {
+		s.view = s.snapshot()
+	}
+	q, reused, err := s.view.quote(s.engine.Now(), t)
+	if err != nil {
 		return admission.Quote{}, err
 	}
-	now := s.engine.Now()
-	if ins, ok := s.cfg.Policy.(core.Inserter); ok {
-		// Probe the key first: for task sets the policy cannot produce an
-		// insertion key for (e.g. FirstReward over bounded penalties), skip
-		// straight to the rebuild without wasting a base-candidate build.
-		if _, keyOK := ins.InsertKey(now, t, s.pending); keyOK {
-			cand := s.baseCandidate(now)
-			if insertion, ok := cand.WithTask(t); ok {
-				return admission.EvaluateInsertion(t, cand, insertion, s.cfg.DiscountRate), nil
-			}
+	if reused {
+		s.metrics.QuoteReuses++
+		s.recordEvent(EventQuoteHit, 0, 0)
+	} else {
+		s.metrics.QuoteBuilds++
+		s.recordEvent(EventQuoteMiss, 0, 0)
+	}
+	return q, nil
+}
+
+// snapshot captures the current scheduling state for quoting. Pending
+// aliases the site's queue rather than copying it: the simulator is
+// single-threaded, and invalidate retires the view before the queue next
+// changes.
+func (s *Site) snapshot() *QuoteSnapshot {
+	qs := &QuoteSnapshot{
+		Version:      s.version,
+		Procs:        s.procs,
+		Policy:       s.cfg.Policy,
+		DiscountRate: s.cfg.DiscountRate,
+		Pending:      s.pending,
+	}
+	if len(s.running) > 0 {
+		qs.Running = make([]RunningSlot, 0, len(s.running))
+		for _, ex := range s.running {
+			qs.Running = append(qs.Running, RunningSlot{Start: ex.start, Runtime: ex.t.RPT})
 		}
 	}
-	s.metrics.QuoteBuilds++
-	s.recordEvent(EventQuoteMiss, 0, 0)
-	with := make([]*task.Task, 0, len(s.pending)+1)
-	with = append(with, s.pending...)
-	with = append(with, t)
-	cand := core.BuildCandidate(s.cfg.Policy, now, s.procs, s.busyUntil(now), with)
-	return admission.Evaluate(t, cand, s.cfg.DiscountRate)
+	return qs
 }
 
 // Submit offers a task to the site at the current simulation time. The site
@@ -301,15 +299,6 @@ func (s *Site) Submit(t *task.Task) (admission.Quote, bool, error) {
 	s.recordQuote(EventSubmit, t, q)
 	s.dispatch()
 	return q, true, nil
-}
-
-// busyUntil returns the expected release time of each occupied processor.
-func (s *Site) busyUntil(now float64) []float64 {
-	busy := make([]float64, 0, len(s.running))
-	for _, ex := range s.running {
-		busy = append(busy, now+s.effectiveRPT(ex, now))
-	}
-	return busy
 }
 
 // effectiveRPT is the remaining processing time of a running task as of

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -61,6 +63,62 @@ func TestServerDecisionsMatchSimulator(t *testing.T) {
 	}
 	if la == 0 || lr == 0 {
 		t.Fatalf("script exercised only one decision: accepted %d, rejected %d", la, lr)
+	}
+}
+
+// TestPublishedSnapshotImmutable: a published quote snapshot keeps
+// answering with its capture-time state after the live book has moved on —
+// an award, dispatches and completions — and its per-instant base-candidate
+// cache never leaks one clock reading's answer into another's.
+func TestPublishedSnapshotImmutable(t *testing.T) {
+	srv := startServer(t, ServerConfig{Processors: 1})
+	c := dialServer(t, srv)
+	var settled sync.WaitGroup
+	c.SetOnSettled(func(Envelope) { settled.Done() })
+	award := func(id task.ID) {
+		t.Helper()
+		bid := testBid(id, 300) // 30 ms each: task 1 outlives the capture
+		sb, ok, err := c.Propose(bid)
+		if err != nil || !ok {
+			t.Fatalf("propose %d: %v %v", id, ok, err)
+		}
+		settled.Add(1)
+		if _, ok, err := c.Award(bid, sb); err != nil || !ok {
+			t.Fatalf("award %d: %v %v", id, ok, err)
+		}
+	}
+
+	// One task running, one queued behind it.
+	award(1)
+	award(2)
+	snap := srv.shards[0].board.Load()
+	if len(snap.Running) != 1 || len(snap.Pending) != 1 {
+		t.Fatalf("captured %d running, %d pending; want 1 and 1", len(snap.Running), len(snap.Pending))
+	}
+	probe := func() *task.Task { return task.New(99, 0, 5, 50, 1, math.Inf(1)) }
+	quote := func(now float64) admission.Quote {
+		t.Helper()
+		q, err := snap.Quote(now, probe())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	before := quote(1)
+
+	award(3) // the book moves on: a third award, then dispatches and completions
+	settled.Wait()
+	if cur := srv.shards[0].board.Load(); cur == snap || len(cur.Pending) != 0 || len(cur.Running) != 0 {
+		t.Fatal("the live book did not drain past the captured snapshot")
+	}
+
+	quote(7) // a different instant takes over the snapshot's base cache
+	if after := quote(1); after != before {
+		t.Fatalf("snapshot answer drifted after live mutations: %v != %v", after, before)
+	}
+	if len(snap.Pending) != 1 || len(snap.Running) != 1 || snap.Pending[0].State != task.Queued {
+		t.Fatalf("snapshot state mutated: %d pending (%v), %d running",
+			len(snap.Pending), snap.Pending[0].State, len(snap.Running))
 	}
 }
 

@@ -407,8 +407,10 @@ func (s *Server) shardFor(id task.ID) *bookShard {
 }
 
 // snapshotLocked captures the shard's scheduling state as an immutable
-// quote snapshot. Callers must hold sh.mu (or run before the accept loop
-// starts).
+// quote snapshot, copying the queued tasks so later book mutations never
+// show through — the one publisher that must copy, since the simulator's
+// view is single-threaded and aliases its queue. Callers must hold sh.mu
+// (or run before the accept loop starts).
 func (sh *bookShard) snapshotLocked() *site.QuoteSnapshot {
 	s := sh.s
 	qs := &site.QuoteSnapshot{
@@ -1195,9 +1197,10 @@ func (sh *bookShard) ledgerCloseLocked(id task.ID, outcome string, at, realized 
 func (sh *bookShard) quoteLocked(bid market.Bid) (admission.Quote, error) {
 	s := sh.s
 	// Live servers quote at wall-clock instants, so consecutive quotes
-	// never share a base schedule: every evaluation is a full build,
-	// counted as a cache miss so the site_quote_reuse series is comparable
-	// with the simulator's.
+	// never share a snapshot's cached base candidate: every evaluation
+	// ranks the book afresh (one ranking plus an insertion when the policy
+	// has a key, a full build otherwise), counted as a cache miss so the
+	// site_quote_reuse series is comparable with the simulator's.
 	s.m.quoteMisses.Inc()
 	probe := s.bidTask(bid)
 	if len(s.shards) == 1 {
