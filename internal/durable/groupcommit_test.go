@@ -57,7 +57,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{
 		Fsync: FsyncAlways,
-		OnBatch: func(_ uint64, n, _ int) {
+		OnBatch: func(_ uint64, n int) {
 			rounds.Add(1)
 			batched.Add(int64(n))
 		},

@@ -115,13 +115,10 @@ type Options struct {
 	FsyncEvery time.Duration
 	// OnBatch, when non-nil, observes every group-commit round: durable is
 	// the durability frontier the round advanced to (every record with
-	// index < durable is on stable storage), records is the number of
-	// appended records the round's single fsync made durable, and streams
-	// is how many distinct append streams (see AppendBatchedStream) those
-	// records came from — the cross-shard coalescing a sharded writer gets
-	// from sharing one barrier. It runs outside the journal's locks and
-	// must not call back into the journal.
-	OnBatch func(durable uint64, records, streams int)
+	// index < durable is on stable storage) and records is the number of
+	// appended records the round's single fsync made durable. It runs
+	// outside the journal's locks and must not call back into the journal.
+	OnBatch func(durable uint64, records int)
 }
 
 const (
@@ -178,12 +175,6 @@ type Journal struct {
 	segments []segment
 	lastSync time.Time
 	closed   bool
-
-	// Stream accounting for OnBatch: the distinct stream IDs that appended
-	// since the last fsync, and the count the most recent fsync swept.
-	// Guarded by mu.
-	streams         map[int]struct{}
-	lastSyncStreams int
 
 	// durable is the durability frontier: every record with index < durable
 	// is on stable storage. Advanced (monotonically) by every fsync —
@@ -313,23 +304,10 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 // N serialized ones. FsyncInterval's periodic sync and FsyncNever keep
 // their usual semantics.
 func (j *Journal) AppendBatched(payload []byte) (uint64, error) {
-	return j.appendStream(0, payload, false)
-}
-
-// AppendBatchedStream appends like AppendBatched, tagging the record with
-// a caller-defined stream ID (a sharded writer uses one stream per
-// shard). Streams change nothing about durability or recovery — records
-// from every stream interleave in one journal in append order — they only
-// feed OnBatch's per-round distinct-stream count.
-func (j *Journal) AppendBatchedStream(stream int, payload []byte) (uint64, error) {
-	return j.appendStream(stream, payload, false)
+	return j.append(payload, false)
 }
 
 func (j *Journal) append(payload []byte, inlineSync bool) (uint64, error) {
-	return j.appendStream(0, payload, inlineSync)
-}
-
-func (j *Journal) appendStream(stream int, payload []byte, inlineSync bool) (uint64, error) {
 	if len(payload) == 0 {
 		return 0, errors.New("durable: empty record")
 	}
@@ -359,10 +337,6 @@ func (j *Journal) appendStream(stream int, payload []byte, inlineSync bool) (uin
 	index := j.next
 	j.next++
 	j.segments[len(j.segments)-1].count++
-	if j.streams == nil {
-		j.streams = make(map[int]struct{})
-	}
-	j.streams[stream] = struct{}{}
 
 	switch j.opts.Fsync {
 	case FsyncAlways:
@@ -389,8 +363,6 @@ func (j *Journal) syncLocked() error {
 		return err
 	}
 	j.lastSync = time.Now()
-	j.lastSyncStreams = len(j.streams)
-	clear(j.streams)
 	j.advanceDurable(j.next)
 	return nil
 }
@@ -456,10 +428,9 @@ func (j *Journal) SyncBarrier(index uint64) error {
 			} else {
 				err = j.syncLocked()
 			}
-			streams := j.lastSyncStreams
 			j.mu.Unlock()
 			if err == nil && frontier > prev && j.opts.OnBatch != nil {
-				j.opts.OnBatch(frontier, int(frontier-prev), streams)
+				j.opts.OnBatch(frontier, int(frontier-prev))
 			}
 
 			g.mu.Lock()

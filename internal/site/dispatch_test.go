@@ -33,15 +33,23 @@ func (p generalFirstReward) Priorities(now float64, tasks []*task.Task) []float6
 	return out
 }
 
-// runDispatchTrace runs the trace on a fresh site, optionally forcing the
-// seed per-start re-rank dispatcher, and returns the metrics plus the
+// perStartOracle forwards a policy's Name and Priorities and declares no
+// capability, so core.PlanStarts re-ranks the surviving queue before every
+// start: the seed dispatcher's loop, one rank op per start. It is the
+// differential oracle for the single-pass dispatcher.
+type perStartOracle struct{ core.Policy }
+
+// runDispatchTrace runs the trace on a fresh site, optionally under the
+// perStartOracle wrapping of its policy, and returns the metrics plus the
 // ordered (time, taskID) start sequence.
 func runDispatchTrace(t *testing.T, tr []*task.Task, cfg Config, seed bool) (Metrics, []Event) {
 	t.Helper()
+	if seed {
+		cfg.Policy = perStartOracle{cfg.Policy}
+	}
 	log := &Log{}
 	engine := sim.New()
 	s := New(engine, "s", cfg, WithRecorder(log))
-	s.seedDispatch = seed
 	ScheduleArrivals(engine, s, tr)
 	engine.Run()
 	var starts []Event
@@ -116,9 +124,12 @@ func TestDispatchMatchesSeedPerStartRerank(t *testing.T) {
 // versus one per start on the seed path.
 func TestMultiStartEventRanksOnce(t *testing.T) {
 	run := func(seed bool) Metrics {
+		var policy core.Policy = core.FirstPrice{}
+		if seed {
+			policy = perStartOracle{policy}
+		}
 		engine := sim.New()
-		s := New(engine, "s", Config{Processors: 1, Policy: core.FirstPrice{}})
-		s.seedDispatch = seed
+		s := New(engine, "s", Config{Processors: 1, Policy: policy})
 		for i := 1; i <= 9; i++ {
 			tk := task.New(task.ID(i), 0, 10, 100, 0.5, math.Inf(1))
 			engine.At(0, func() { s.Submit(tk) })

@@ -147,11 +147,6 @@ type Site struct {
 	version uint64
 	view    *QuoteSnapshot
 
-	// seedDispatch switches dispatch back to the original per-start
-	// re-rank loop. It exists purely as the differential oracle for the
-	// single-pass dispatcher's equivalence tests.
-	seedDispatch bool
-
 	// Scratch for preemptIfBeneficial, reused across passes: the ranked
 	// union (pending first, then running), and for its running part the
 	// executions, their stored RPTs and whether each may be preempted.
@@ -327,35 +322,25 @@ func (s *Site) dispatch() {
 		s.parkExpired(now)
 	}
 	rankOps := 0
-	if s.seedDispatch {
-		// Differential oracle: the original per-start re-rank loop.
-		for s.free > 0 && len(s.pending) > 0 {
-			ordered := core.RankOrder(s.cfg.Policy, now, s.pending)
-			rankOps++
-			s.start(ordered[0], now)
-		}
-	} else {
-		for s.free > 0 && len(s.pending) > 0 {
-			starts, ranks := core.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
-			rankOps += ranks
-			parked := false
-			for _, t := range starts {
-				if s.cfg.ParkExpired && !t.Unbounded() && t.ExpiredAt(now) {
-					// Unreachable after parkExpired within one atomic
-					// dispatch, but kept as the structural guarantee: park,
-					// drop the rest of this plan, and re-plan without the
-					// expired task.
-					s.removePending(t)
-					s.park(t, now)
-					s.invalidate()
-					parked = true
-					break
-				}
-				s.start(t, now)
-			}
-			if !parked {
+	for s.free > 0 && len(s.pending) > 0 {
+		starts, ranks := core.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
+		rankOps += ranks
+		parked := false
+		for _, t := range starts {
+			if s.cfg.ParkExpired && !t.Unbounded() && t.ExpiredAt(now) {
+				// Unreachable after parkExpired within one atomic dispatch,
+				// but kept as the structural guarantee: park, drop the rest
+				// of this plan, and re-plan without the expired task.
+				s.removePending(t)
+				s.park(t, now)
+				s.invalidate()
+				parked = true
 				break
 			}
+			s.start(t, now)
+		}
+		if !parked {
+			break
 		}
 	}
 	if s.cfg.Preemptive {

@@ -1,8 +1,11 @@
-// Package sweep runs parameter sweeps across worker goroutines.
+// Package sweep runs independent calls across a bounded set of worker
+// goroutines and returns their results in input order, regardless of
+// completion order.
 //
 // Experiment harnesses fan replications and parameter points out over the
-// machine's cores; results return in input order regardless of completion
-// order, so figure series stay aligned and deterministic.
+// machine's cores, so figure series stay aligned and deterministic; the
+// network negotiator and broker fan one bid's quotes out over the sites,
+// bounded by their QuoteWorkers.
 package sweep
 
 import (

@@ -1,11 +1,7 @@
 package wire
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -174,7 +170,7 @@ func (c BrokerConfig) parkedCap() int {
 // affected exchange; the broker keeps serving with the sites that answer.
 type BrokerServer struct {
 	cfg   BrokerConfig
-	ln    net.Listener
+	ep    *endpoint
 	sites []*brokerSite
 	eo    exchangeObs
 	m     brokerMetrics
@@ -186,8 +182,6 @@ type BrokerServer struct {
 	terms    map[task.ID]market.ServerBid // contract terms, for settlement lateness
 	fwdOwner map[task.ID]string           // task forwarded to a peer -> that peer's ring id
 	parked   []Envelope                   // settlements held for disconnected owners (bounded ring)
-	conns    map[*serverConn]struct{}
-	closed   bool
 
 	// Peer ring for consistent-hash broker sharding (DESIGN.md §16).
 	peerMu    sync.Mutex
@@ -196,7 +190,6 @@ type BrokerServer struct {
 	peerLanes map[string]*SiteClient
 
 	stop chan struct{} // closed by Close; stops the digest loop
-	wg   sync.WaitGroup
 
 	// Stats, guarded by mu.
 	Negotiated int
@@ -254,14 +247,11 @@ func (bs *brokerSite) closeLanes() {
 }
 
 // brokerMetrics are the broker's own instruments, beyond the shared
-// exchange set.
+// exchange set and the endpoint's connection set.
 type brokerMetrics struct {
-	connections     *obs.Gauge
-	relayed         *obs.Counter
-	relayLost       *obs.Counter
-	lateness        *obs.Histogram
-	framesOversized *obs.Counter
-	codecs          *obs.CounterVec
+	relayed   *obs.Counter
+	relayLost *obs.Counter
+	lateness  *obs.Histogram
 
 	// Fleet-resilience instruments (DESIGN.md §15).
 	circuitState       *obs.GaugeVec
@@ -285,12 +275,9 @@ type brokerMetrics struct {
 func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 	settles := reg.Counter("market_settlements_total", "Settlement deliveries.", "role", "result")
 	return brokerMetrics{
-		connections:     reg.Gauge("wire_connections", "Live client connections.", "site").With("broker"),
-		relayed:         settles.With("broker", "relayed"),
-		relayLost:       settles.With("broker", "undeliverable"),
-		lateness:        reg.Histogram("market_settlement_lateness", "Completion time minus contracted completion, in simulation units.", latenessBuckets, "site").With("broker"),
-		framesOversized: reg.Counter("wire_frames_oversized_total", "Inbound frames rejected for exceeding the configured size cap.", "site").With("broker"),
-		codecs:          reg.Counter("wire_codec_negotiated_total", "Connections by negotiated wire codec.", "site", "codec"),
+		relayed:   settles.With("broker", "relayed"),
+		relayLost: settles.With("broker", "undeliverable"),
+		lateness:  reg.Histogram("market_settlement_lateness", "Completion time minus contracted completion, in simulation units.", latenessBuckets, "site").With("broker"),
 
 		circuitState:       reg.Gauge("broker_circuit_state", "Per-site circuit breaker state: 0 closed, 1 half-open, 2 open.", "site"),
 		circuitTransitions: reg.Counter("broker_circuit_transitions_total", "Circuit breaker transitions, by destination state.", "site", "to"),
@@ -310,8 +297,6 @@ func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 	}
 }
 
-func (m *brokerMetrics) codecNegotiated(codec string) { m.codecs.With("broker", codec).Inc() }
-
 // NewBrokerServer connects to every site and starts listening on addr.
 func NewBrokerServer(addr string, cfg BrokerConfig) (*BrokerServer, error) {
 	if len(cfg.SiteAddrs) == 0 {
@@ -329,7 +314,6 @@ func NewBrokerServer(addr string, cfg BrokerConfig) (*BrokerServer, error) {
 		owners:    make(map[task.ID]*serverConn),
 		terms:     make(map[task.ID]market.ServerBid),
 		fwdOwner:  make(map[task.ID]string),
-		conns:     make(map[*serverConn]struct{}),
 		peerLanes: make(map[string]*SiteClient),
 		stop:      make(chan struct{}),
 	}
@@ -351,52 +335,44 @@ func NewBrokerServer(addr string, cfg BrokerConfig) (*BrokerServer, error) {
 		}
 		b.sites = append(b.sites, bs)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ep, err := listen(addr, endpointConfig{
+		label:         "broker",
+		codecs:        cfg.Codecs,
+		idleTimeout:   cfg.IdleTimeout,
+		writeTimeout:  cfg.WriteTimeout,
+		maxFrameBytes: cfg.MaxFrameBytes,
+		metrics:       cfg.Metrics,
+		log:           b.eo.log,
+	})
 	if err != nil {
 		b.closeSites()
 		return nil, err
 	}
-	b.ln = ln
+	b.ep = ep
 	if len(cfg.Peers) > 0 {
 		self := cfg.SelfID
 		if self == "" {
-			self = ln.Addr().String()
+			self = b.Addr()
 		}
 		b.SetPeers(self, cfg.Peers)
 	}
 	if cfg.topkEnabled() {
-		b.wg.Add(1)
-		go b.digestLoop()
+		ep.spawn(b.digestLoop)
 	}
-	b.wg.Add(1)
-	go b.acceptLoop()
+	ep.start(b.handle, b.gone)
 	return b, nil
 }
 
 // Addr returns the broker's listen address.
-func (b *BrokerServer) Addr() string { return b.ln.Addr().String() }
+func (b *BrokerServer) Addr() string { return b.ep.ln.Addr().String() }
 
 // Close shuts the broker down, closing the client listener, live client
 // connections, and the site connections. Safe to call more than once.
 func (b *BrokerServer) Close() error {
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	first, err := b.ep.close(func() { close(b.stop) })
+	if !first {
 		return nil
 	}
-	b.closed = true
-	conns := make([]*serverConn, 0, len(b.conns))
-	for sc := range b.conns {
-		conns = append(conns, sc)
-	}
-	b.mu.Unlock()
-
-	close(b.stop)
-	err := b.ln.Close()
-	for _, sc := range conns {
-		_ = sc.conn.Close()
-	}
-	b.wg.Wait()
 	b.closeSites()
 	b.peerMu.Lock()
 	for _, lane := range b.peerLanes {
@@ -412,131 +388,32 @@ func (b *BrokerServer) closeSites() {
 	}
 }
 
-func (b *BrokerServer) acceptLoop() {
-	defer b.wg.Done()
-	for {
-		conn, err := b.ln.Accept()
-		if err != nil {
-			return
+// handle answers one request on a client connection, forwarding a bid
+// whose client another broker of the ring owns.
+func (b *BrokerServer) handle(sc *serverConn, env Envelope) Envelope {
+	switch env.Type {
+	case TypeBid:
+		if peer := b.peerOwner(env); peer != "" {
+			return b.forwardBid(peer, env)
 		}
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			b.serve(conn)
-		}()
+		return b.handleBid(env)
+	case TypeAward:
+		return b.routeAward(env, sc)
+	case TypeQuery:
+		reply := b.handleQuery(env, sc)
+		if reply.ContractState == ContractUnknown && !env.Forwarded {
+			reply = b.queryPeers(env, sc, reply)
+		}
+		return reply
 	}
+	return Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
 }
 
-func (b *BrokerServer) serve(conn net.Conn) {
-	wt := ServerConfig{WriteTimeout: b.cfg.WriteTimeout}.writeTimeout()
-	sc := &serverConn{conn: conn, bw: bufio.NewWriter(conn), writeTimeout: wt, codec: defaultCodec()}
+// gone forgets a disconnected client's awarded contracts; their later
+// settlements park until a query recovers them.
+func (b *BrokerServer) gone(sc *serverConn) {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		conn.Close()
-		return
-	}
-	b.conns[sc] = struct{}{}
-	b.mu.Unlock()
-	b.m.connections.Add(1)
-	defer func() {
-		conn.Close()
-		b.m.connections.Add(-1)
-		b.mu.Lock()
-		delete(b.conns, sc)
-		b.dropOwnerLocked(sc)
-		b.mu.Unlock()
-	}()
-
-	idle := ServerConfig{IdleTimeout: b.cfg.IdleTimeout}.idleTimeout()
-	br := bufio.NewReaderSize(conn, 64*1024)
-	limit := maxFrameBytes(b.cfg.MaxFrameBytes)
-	rd := defaultCodec()
-	var scratch []byte
-	var env Envelope
-	first := true
-	for {
-		if idle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		if err := rd.Read(br, limit, &scratch, &env); err != nil {
-			switch {
-			case errors.Is(err, ErrTooLong):
-				b.m.framesOversized.Inc()
-				b.eo.log.Warn("oversized frame discarded", "remote", conn.RemoteAddr().String(), "limit_bytes", limit)
-				if serr := sc.send(Envelope{Type: TypeError, Reason: err.Error()}); serr != nil {
-					return
-				}
-				continue
-			case IsProtocolError(err):
-				if serr := sc.send(Envelope{Type: TypeError, Reason: err.Error()}); serr != nil {
-					return
-				}
-				continue
-			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				b.eo.log.Warn("client read error", "remote", conn.RemoteAddr().String(), "err", err.Error())
-			}
-			return
-		}
-		if env.Type == TypeHello {
-			if !first {
-				if serr := sc.send(Envelope{Type: TypeError, ReqID: env.ReqID, Reason: "wire: hello after session established"}); serr != nil {
-					return
-				}
-				continue
-			}
-			first = false
-			reply, next, ok := helloReply(env, b.cfg.Codecs, "broker")
-			// The reply always travels as v1 JSON; only after it is flushed
-			// does the connection switch codecs.
-			if serr := sc.send(reply); serr != nil {
-				return
-			}
-			if ok {
-				sc.setCodec(next)
-				rd = next
-				b.m.codecNegotiated(next.Name())
-				b.eo.log.Info("negotiated wire codec", "remote", conn.RemoteAddr().String(), "codec", next.Name())
-			} else {
-				b.m.codecNegotiated(codecLabelV1)
-			}
-			continue
-		}
-		if first {
-			// A bare envelope as the first frame is a v1 client.
-			first = false
-			b.m.codecNegotiated(codecLabelV1)
-		}
-		var reply Envelope
-		switch env.Type {
-		case TypeBid:
-			if peer := b.peerOwner(env); peer != "" {
-				reply = b.forwardBid(peer, env)
-			} else {
-				reply = b.handleBid(env)
-			}
-		case TypeAward:
-			reply = b.routeAward(env, sc)
-		case TypeQuery:
-			reply = b.handleQuery(env, sc)
-			if reply.ContractState == ContractUnknown && !env.Forwarded {
-				reply = b.queryPeers(env, sc, reply)
-			}
-		default:
-			reply = Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
-		}
-		reply.ReqID = env.ReqID
-		if err := sc.send(reply); err != nil {
-			return
-		}
-	}
-}
-
-// dropOwnerLocked forgets a disconnected client's pending choices and
-// awarded contracts; later settlements for them are logged and dropped.
-// Callers must hold b.mu.
-func (b *BrokerServer) dropOwnerLocked(sc *serverConn) {
+	defer b.mu.Unlock()
 	for id, owner := range b.owners {
 		if owner == sc {
 			delete(b.owners, id)
@@ -575,7 +452,7 @@ func (b *BrokerServer) handleBid(env Envelope) Envelope {
 			Reason: shedReasonPrefix + "deadline budget spent"}
 	}
 
-	offers, offerSites, sheds, err := b.proposeFleet(bid, recv)
+	offers, offerCands, sheds, err := b.proposeFleet(bid, recv)
 	if err != nil {
 		b.eo.failed.Inc()
 		b.eo.trace(obs.TraceEvent{Stage: obs.StageReject, Task: uint64(bid.TaskID), Req: bid.ReqID, Detail: err.Error()})
@@ -601,7 +478,7 @@ func (b *BrokerServer) handleBid(env Envelope) Envelope {
 	}
 
 	b.mu.Lock()
-	b.chosen[bid.TaskID] = offerSites[i]
+	b.chosen[bid.TaskID] = offerCands[i].bs
 	b.mu.Unlock()
 	win := offers[i]
 	b.eo.trace(obs.TraceEvent{Stage: obs.StageBid, Task: uint64(bid.TaskID), Req: bid.ReqID,
@@ -619,7 +496,8 @@ func (b *BrokerServer) handleBid(env Envelope) Envelope {
 
 // handleAward forwards the award to the site selected during the bid and
 // registers the client connection for settlement relay. Transient site
-// failures are retried (awards are idempotent on the site).
+// failures are retried under the site's retry budget (awards are
+// idempotent on the site).
 func (b *BrokerServer) handleAward(env Envelope, owner *serverConn) Envelope {
 	bid, err := env.Bid()
 	if err != nil {
@@ -649,8 +527,11 @@ func (b *BrokerServer) handleAward(env Envelope, owner *serverConn) Envelope {
 	// The award goes to the chosen site whatever its breaker says — it is
 	// the only site holding the quote, and committed work is never shed.
 	awardStart := time.Now()
-	terms, ok, err := b.budgetedCall(site, func() (market.ServerBid, bool, error) {
-		return site.primary.Award(bid, sb)
+	var terms market.ServerBid
+	var ok bool
+	err = callWithRetry(site.primary, b.cfg.retries(), b.cfg.backoff(), b.eo, site.health.retryGate(false), func() (err error) {
+		terms, ok, err = site.primary.Award(bid, sb)
+		return err
 	})
 	site.health.onResult(err == nil, time.Since(awardStart), false)
 	if err != nil {
@@ -829,71 +710,22 @@ func (b *BrokerServer) handleQuery(env Envelope, sc *serverConn) Envelope {
 	return Envelope{Type: TypeStatus, TaskID: id, SiteID: "broker", ContractState: ContractUnknown}
 }
 
-// proposeResult is one site's answer to a hedged, budget-retried proposal.
-type proposeResult struct {
-	sb     market.ServerBid
-	ok     bool
-	reason string
-	err    error
-}
-
 // proposeFleet quotes one bid against the sites the router picks —
 // every breaker-admitted site under fan-out, the top-k digest-ranked
 // sites under top-k routing — hedging each call past the site's adaptive
 // delay. When every breaker is open it falls back to probing all sites —
 // quoting nothing forever would starve the fleet even after the sites
-// recover. It returns the accepted offers, their sites, and how many
+// recover. It returns the accepted offers, their candidates, and how many
 // refusals were overload sheds; the error is non-nil only when every
 // attempted site failed.
-func (b *BrokerServer) proposeFleet(bid market.Bid, recv time.Time) ([]market.ServerBid, []*brokerSite, int, error) {
+func (b *BrokerServer) proposeFleet(bid market.Bid, recv time.Time) ([]market.ServerBid, []routeCand, int, error) {
 	cands := b.routeCandidates(bid)
 	for _, c := range cands {
 		b.m.routed.With(c.bs.addr).Inc()
 	}
-
-	results := make([]proposeResult, len(cands))
-	workers := b.cfg.quoteWorkers()
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range cands {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = b.hedgedPropose(cands[i].bs, bid, recv, cands[i].probe)
-		}(i)
-	}
-	wg.Wait()
-
-	var offers []market.ServerBid
-	var offerSites []*brokerSite
-	sheds, errored := 0, 0
-	var firstErr error
-	for i, r := range results {
-		switch {
-		case r.err != nil:
-			errored++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("wire: site %s: %w", cands[i].bs.addr, r.err)
-			}
-			b.eo.dropouts.Inc()
-		case r.ok:
-			offers = append(offers, r.sb)
-			offerSites = append(offerSites, cands[i].bs)
-		default:
-			if IsShedReason(r.reason) {
-				sheds++
-			}
-		}
-	}
-	if errored == len(cands) {
-		return nil, nil, sheds, firstErr
-	}
-	return offers, offerSites, sheds, nil
+	return proposeEach(cands, b.cfg.quoteWorkers(), b.eo, bid,
+		func(c routeCand) string { return c.bs.addr },
+		func(c routeCand) proposeResult { return b.hedgedPropose(c.bs, bid, recv, c.probe) })
 }
 
 // hedgedPropose runs one site's proposal with tail-latency hedging: the
@@ -952,52 +784,18 @@ func (b *BrokerServer) hedgedPropose(bs *brokerSite, bid market.Bid, recv time.T
 	}
 }
 
-// budgetedPropose is one lane's proposal with budgeted retry: each retry
-// after a transient failure spends a token from the site's retry budget,
-// and an empty bucket ends the attempt. The bid's deadline budget is
-// re-stamped with the broker's queueing-and-retry delay before every send,
-// so the site sees what actually remains. A half-open probe's first retry
-// is free — a freshly restarted site always needs the reconnect, and a
-// site with an empty bucket could otherwise never demonstrate recovery.
-func (b *BrokerServer) budgetedPropose(bs *brokerSite, sc *SiteClient, bid market.Bid, recv time.Time, probe bool) proposeResult {
-	retries := b.cfg.retries()
-	backoff := b.cfg.backoff()
-	for attempt := 0; ; attempt++ {
+// budgetedPropose is one lane's proposal, retried under the site's retry
+// budget. The bid's deadline budget is re-stamped with the broker's
+// queueing-and-retry delay before every send, so the site sees what
+// actually remains.
+func (b *BrokerServer) budgetedPropose(bs *brokerSite, sc *SiteClient, bid market.Bid, recv time.Time, probe bool) (r proposeResult) {
+	r.err = callWithRetry(sc, b.cfg.retries(), b.cfg.backoff(), b.eo, bs.health.retryGate(probe), func() (err error) {
 		stamped := bid
 		if stamped.Deadline != 0 {
 			stamped.Deadline = ShrinkDeadline(bid.Deadline, time.Since(recv))
 		}
-		sb, ok, reason, err := sc.ProposeDetail(stamped)
-		if err == nil {
-			return proposeResult{sb: sb, ok: ok, reason: reason}
-		}
-		if attempt >= retries || !transientErr(err) {
-			return proposeResult{err: err}
-		}
-		if !(probe && attempt == 0) && !bs.health.takeRetryToken() {
-			return proposeResult{err: err}
-		}
-		b.eo.retries.Inc()
-		time.Sleep(retryDelay(backoff, attempt))
-		_ = sc.Redial()
-	}
-}
-
-// budgetedCall is callWithRetry under the site's retry budget, for award
-// forwarding on the primary lane.
-func (b *BrokerServer) budgetedCall(bs *brokerSite, f func() (market.ServerBid, bool, error)) (market.ServerBid, bool, error) {
-	retries := b.cfg.retries()
-	backoff := b.cfg.backoff()
-	for attempt := 0; ; attempt++ {
-		sb, ok, err := f()
-		if err == nil || attempt >= retries || !transientErr(err) {
-			return sb, ok, err
-		}
-		if !bs.health.takeRetryToken() {
-			return sb, ok, err
-		}
-		b.eo.retries.Inc()
-		time.Sleep(retryDelay(backoff, attempt))
-		_ = bs.primary.Redial()
-	}
+		r.sb, r.ok, r.reason, err = sc.ProposeDetail(stamped)
+		return err
+	})
+	return r
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/market"
 	"repro/internal/obs"
+	"repro/internal/sweep"
 	"repro/internal/task"
 )
 
@@ -618,15 +619,20 @@ func digestJitter(d time.Duration) time.Duration {
 	return jitterBetween(d/2, d+d/2)
 }
 
-// callWithRetry runs one site exchange with bounded retry and jittered
-// exponential backoff on transient errors, redialing the site between
-// attempts.
+// callWithRetry runs one site exchange f, retrying a transient failure at
+// most retries times, each after a jittered exponential backoff and a
+// redial of sc. gate, when non-nil, must grant each retry (attempt counts
+// from 0); a refusal ends the call with the failure in hand. f leaves its
+// results in the caller's variables and returns the exchange's error.
 func callWithRetry(sc *SiteClient, retries int, backoff time.Duration, eo exchangeObs,
-	f func() (market.ServerBid, bool, error)) (market.ServerBid, bool, error) {
+	gate func(attempt int) bool, f func() error) error {
 	for attempt := 0; ; attempt++ {
-		sb, ok, err := f()
+		err := f()
 		if err == nil || attempt >= retries || !transientErr(err) {
-			return sb, ok, err
+			return err
+		}
+		if gate != nil && !gate(attempt) {
+			return err
 		}
 		eo.retries.Inc()
 		time.Sleep(retryDelay(backoff, attempt))
@@ -636,71 +642,46 @@ func callWithRetry(sc *SiteClient, retries int, backoff time.Duration, eo exchan
 	}
 }
 
-// proposeAll fans one bid out to every site and collects the accepting
-// sites' offers, quoting at most `workers` sites concurrently (a bounded
-// pool, so hundred-site federations do not burst a goroutine and socket
-// per site for every bid). Sites that error after bounded retries drop out
-// of the exchange. The returned error is non-nil only when every site
-// failed, and carries the first failure observed.
-func proposeAll(sites []*SiteClient, b market.Bid, retries int, backoff time.Duration,
-	workers int, eo exchangeObs) ([]market.ServerBid, []*SiteClient, error) {
-	type result struct {
-		sb  market.ServerBid
-		ok  bool
-		err error
-	}
-	results := make([]result, len(sites))
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(sites) {
-		workers = len(sites)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				sc := sites[i]
-				sb, ok, err := callWithRetry(sc, retries, backoff, eo, func() (market.ServerBid, bool, error) {
-					return sc.Propose(b)
-				})
-				results[i] = result{sb, ok, err}
-			}
-		}()
-	}
-	for i := range sites {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+// proposeResult is one site's answer to a proposal: an offer (ok), a
+// refusal with its reason, or the error that drops the site.
+type proposeResult struct {
+	sb     market.ServerBid
+	ok     bool
+	reason string
+	err    error
+}
 
-	var offers []market.ServerBid
-	var offerSites []*SiteClient
+// proposeEach quotes bid at every site through propose, at most workers at
+// a time (so hundred-site federations do not burst a goroutine and socket
+// per site for every bid), and tallies the answers: a site whose call
+// failed drops out of the exchange, an acceptance is an offer, and a
+// shed-marked refusal counts toward sheds. The error is non-nil only when
+// every site failed, and carries the first failure.
+func proposeEach[S any](sites []S, workers int, eo exchangeObs, bid market.Bid,
+	addr func(S) string, propose func(S) proposeResult) (offers []market.ServerBid, offerSites []S, sheds int, err error) {
 	var firstErr error
 	errored := 0
-	for i, r := range results {
-		if r.err != nil {
+	for i, r := range sweep.Map(sites, workers, propose) {
+		switch {
+		case r.err != nil:
 			errored++
 			if firstErr == nil {
-				firstErr = r.err
+				firstErr = fmt.Errorf("site %s: %w", addr(sites[i]), r.err)
 			}
 			eo.dropouts.Inc()
 			eo.log.Warn("site dropped out of exchange",
-				"addr", sites[i].Addr(), "task", b.TaskID, "req", b.ReqID, "err", r.err.Error())
-			continue
-		}
-		if r.ok {
+				"addr", addr(sites[i]), "task", bid.TaskID, "req", bid.ReqID, "err", r.err.Error())
+		case r.ok:
 			offers = append(offers, r.sb)
 			offerSites = append(offerSites, sites[i])
+		case IsShedReason(r.reason):
+			sheds++
 		}
 	}
-	if errored == len(sites) && errored > 0 {
-		return nil, nil, fmt.Errorf("wire: every site failed: %w", firstErr)
+	if errored > 0 && errored == len(sites) {
+		return nil, nil, sheds, fmt.Errorf("wire: every site failed: %w", firstErr)
 	}
-	return offers, offerSites, nil
+	return offers, offerSites, sheds, nil
 }
 
 // Negotiate runs the full exchange for one bid. It returns the winning
@@ -723,7 +704,14 @@ func (n *Negotiator) Negotiate(b market.Bid) (market.ServerBid, bool, error) {
 	eo := n.exchangeObs()
 	eo.trace(obs.TraceEvent{Stage: obs.StageSubmit, Task: uint64(b.TaskID), Req: b.ReqID, Value: b.Value,
 		Cohort: b.Cohort, Client: b.Client})
-	offers, offerSites, err := proposeAll(n.Sites, b, n.retries(), n.backoff(), n.quoteWorkers(), eo)
+	offers, offerSites, _, err := proposeEach(n.Sites, n.quoteWorkers(), eo, b, (*SiteClient).Addr,
+		func(sc *SiteClient) (r proposeResult) {
+			r.err = callWithRetry(sc, n.retries(), n.backoff(), eo, nil, func() (err error) {
+				r.sb, r.ok, r.reason, err = sc.ProposeDetail(b)
+				return err
+			})
+			return r
+		})
 	if err != nil {
 		eo.failed.Inc()
 		eo.trace(obs.TraceEvent{Stage: obs.StageReject, Task: uint64(b.TaskID), Req: b.ReqID, Detail: err.Error(),
@@ -737,8 +725,12 @@ func (n *Negotiator) Negotiate(b market.Bid) (market.ServerBid, bool, error) {
 		}
 		eo.trace(obs.TraceEvent{Stage: obs.StageBid, Task: uint64(b.TaskID), Req: b.ReqID,
 			Site: offers[i].SiteID, Value: offers[i].ExpectedPrice, Cohort: b.Cohort, Client: b.Client})
-		terms, ok, err := callWithRetry(offerSites[i], n.retries(), n.backoff(), eo,
-			func() (market.ServerBid, bool, error) { return offerSites[i].Award(b, offers[i]) })
+		var terms market.ServerBid
+		var ok bool
+		err := callWithRetry(offerSites[i], n.retries(), n.backoff(), eo, nil, func() (err error) {
+			terms, ok, err = offerSites[i].Award(b, offers[i])
+			return err
+		})
 		if err == nil && ok {
 			eo.placed.Inc()
 			eo.trace(obs.TraceEvent{Stage: obs.StageContract, Task: uint64(b.TaskID), Req: b.ReqID,

@@ -342,7 +342,7 @@ func TestOversizedFrameKeepsConnection(t *testing.T) {
 	if env.Type != TypeError || !strings.Contains(env.Reason, "size limit") {
 		t.Fatalf("oversized frame reply = %+v, want frame-size protocol error", env)
 	}
-	if got := srv.m.framesOversized.Value(); got != 1 {
+	if got := srv.ep.m.framesOversized.Value(); got != 1 {
 		t.Fatalf("oversized counter = %v, want 1", got)
 	}
 

@@ -53,8 +53,7 @@ func (s *Server) handleDigestSub(env Envelope, sc *serverConn) Envelope {
 	}
 	stop := make(chan struct{})
 	sc.startDigest(stop)
-	s.wg.Add(1)
-	go s.pushDigests(sc, iv, stop)
+	s.ep.spawn(func() { s.pushDigests(sc, iv, stop) })
 	return Envelope{Type: TypeDigestSub, SiteID: s.cfg.SiteID,
 		Interval: float64(iv) / float64(time.Millisecond)}
 }
@@ -63,7 +62,6 @@ func (s *Server) handleDigestSub(env Envelope, sc *serverConn) Envelope {
 // then one per jittered interval until the subscription is replaced, the
 // connection dies, or the server closes.
 func (s *Server) pushDigests(sc *serverConn, interval time.Duration, stop chan struct{}) {
-	defer s.wg.Done()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
 	for {
@@ -256,7 +254,6 @@ func (b *BrokerServer) routeCandidates(bid market.Bid) []routeCand {
 // missing — the initial subscription, a site restart, and a Redial (which
 // drops the per-connection subscription) all recover here.
 func (b *BrokerServer) digestLoop() {
-	defer b.wg.Done()
 	interval := b.cfg.digestInterval()
 	tick := interval / 2
 	if tick < minDigestInterval {
@@ -291,7 +288,7 @@ func (b *BrokerServer) refreshDigests() {
 			bs.mDigestAge.Set(age.Seconds())
 		}
 		if needSub {
-			// Untracked by b.wg deliberately: a subscription against a dead
+			// Untracked by the endpoint deliberately: a subscription against a dead
 			// site blocks for a full request timeout, and Close must not
 			// wait on that. The goroutine only touches the site's own
 			// fields, all safe after Close.

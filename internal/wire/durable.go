@@ -72,19 +72,16 @@ type contractRecord struct {
 	Reason string  `json:"reason,omitempty"`
 }
 
-func (s *Server) appendRecord(shard int, r contractRecord) error {
-	_, _, err := s.appendRecordIdx(shard, r)
+func (s *Server) appendRecord(r contractRecord) error {
+	_, _, err := s.appendRecordIdx(r)
 	return err
 }
 
-// appendRecordIdx journals r on the shard's stream and returns its index
-// for a later durable.SyncBarrier. The append is batched — FsyncAlways
-// durability is deferred to the caller's barrier so concurrent awards share
-// one fsync. The shard tag feeds the journal's per-round stream accounting
-// (how many shards each group-commit round covered); it does not change
-// durability or recovery. journaled is false when the server runs without
-// a journal.
-func (s *Server) appendRecordIdx(shard int, r contractRecord) (idx uint64, journaled bool, err error) {
+// appendRecordIdx journals r and returns its index for a later
+// durable.SyncBarrier. The append is batched — FsyncAlways durability is
+// deferred to the caller's barrier so concurrent awards share one fsync.
+// journaled is false when the server runs without a journal.
+func (s *Server) appendRecordIdx(r contractRecord) (idx uint64, journaled bool, err error) {
 	if s.j == nil {
 		return 0, false, nil
 	}
@@ -92,7 +89,7 @@ func (s *Server) appendRecordIdx(shard int, r contractRecord) (idx uint64, journ
 	if err != nil {
 		return 0, false, err
 	}
-	idx, err = s.j.AppendBatchedStream(shard, b)
+	idx, err = s.j.AppendBatched(b)
 	return idx, err == nil, err
 }
 
@@ -231,10 +228,9 @@ func (s *Server) openJournal() error {
 	j, err := durable.Open(s.cfg.DataDir, durable.Options{
 		Fsync:      s.cfg.Fsync,
 		FsyncEvery: s.cfg.FsyncEvery,
-		OnBatch: func(_ uint64, records, streams int) {
+		OnBatch: func(_ uint64, records int) {
 			s.m.batchSyncs.Inc()
 			s.m.batchRecords.Add(float64(records))
-			s.m.batchStreams.Add(float64(streams))
 		},
 	})
 	if err != nil {
@@ -253,7 +249,7 @@ func (s *Server) openJournal() error {
 	scale := int64(s.cfg.TimeScale)
 	if rb.wall == 0 {
 		// Fresh journal: pin the clock origin as the first durable record.
-		if err := s.appendRecord(0, contractRecord{Kind: recEpoch, Wall: s.start.UnixNano(), Scale: scale}); err != nil {
+		if err := s.appendRecord(contractRecord{Kind: recEpoch, Wall: s.start.UnixNano(), Scale: scale}); err != nil {
 			j.Close()
 			return err
 		}
@@ -308,7 +304,7 @@ func (s *Server) openJournal() error {
 		}
 		if reason != "" {
 			price := math.Min(0, t.YieldAtCompletion(now))
-			if err := s.appendRecord(sh.id, contractRecord{Kind: recDefault, TaskID: id, T: now, Price: price, Reason: reason}); err != nil {
+			if err := s.appendRecord(contractRecord{Kind: recDefault, TaskID: id, T: now, Price: price, Reason: reason}); err != nil {
 				j.Close()
 				return err
 			}

@@ -57,7 +57,7 @@ func TestHandshakeMatrix(t *testing.T) {
 		if got := c.NegotiatedCodec(); got != CodecJSON {
 			t.Fatalf("NegotiatedCodec = %q, want %q", got, CodecJSON)
 		}
-		if n := srv.m.codecs.With("test-site", codecLabelV1).Value(); n != 1 {
+		if n := srv.ep.m.codecs.With("test-site", codecLabelV1).Value(); n != 1 {
 			t.Fatalf("json-v1 connections counted = %v, want 1", n)
 		}
 	})
@@ -70,7 +70,7 @@ func TestHandshakeMatrix(t *testing.T) {
 			t.Fatalf("NegotiatedCodec = %q, want %q", got, CodecBinary)
 		}
 		exerciseExchange(t, c, 2)
-		if n := srv.m.codecs.With("test-site", CodecBinary).Value(); n != 1 {
+		if n := srv.ep.m.codecs.With("test-site", CodecBinary).Value(); n != 1 {
 			t.Fatalf("binary connections counted = %v, want 1", n)
 		}
 	})
@@ -280,7 +280,7 @@ func TestBrokerHandshake(t *testing.T) {
 		t.Fatalf("award via broker: %v %v", ok, err)
 	}
 	<-settled
-	if n := b.m.codecs.With("broker", CodecBinary).Value(); n != 1 {
+	if n := b.ep.m.codecs.With("broker", CodecBinary).Value(); n != 1 {
 		t.Fatalf("broker binary connections counted = %v, want 1", n)
 	}
 }

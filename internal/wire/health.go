@@ -217,6 +217,14 @@ func (h *siteHealth) takeRetryToken() bool {
 	return true
 }
 
+// retryGate is the broker's callWithRetry gate for this site: every retry
+// spends a budget token, except a half-open probe's first — a freshly
+// restarted site always needs the reconnect, and a site with an empty
+// bucket could otherwise never demonstrate recovery.
+func (h *siteHealth) retryGate(probe bool) func(attempt int) bool {
+	return func(attempt int) bool { return (probe && attempt == 0) || h.takeRetryToken() }
+}
+
 // hedgeDelay prices the adaptive hedge: the hedgeQuantile of the site's
 // recent call latencies, clamped to [hedgeDelayMin, hedgeDelayMax]. With
 // no history yet it returns the cap — hedging only helps once the site

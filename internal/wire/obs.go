@@ -51,7 +51,6 @@ import (
 //	site_shard_queue_depth{site,shard}       pending tasks per book shard
 //	site_shard_running_tasks{site,shard}     running tasks per book shard
 //	site_shard_tasks_total{site,shard,event} accepted/completed per book shard
-//	site_journal_batch_streams_total{site}   distinct shard streams covered by group-commit rounds
 //	wire_codec_negotiated_total{site,codec}  connections by negotiated codec ("json-v1" = pre-handshake client)
 //
 // Economic ledger and cohort-attribution families (DESIGN.md §13). The
@@ -107,8 +106,6 @@ type serverMetrics struct {
 	rpcAward     *obs.Counter
 	rpcBidSec    *obs.Histogram
 	rpcAwardSec  *obs.Histogram
-	connections  *obs.Gauge
-	idleReaps    *obs.Counter
 	accepted     *obs.Counter
 	rejected     *obs.Counter
 	completed    *obs.Counter
@@ -139,15 +136,11 @@ type serverMetrics struct {
 	validateMismatch  *obs.Counter
 	batchSyncs        *obs.Counter
 	batchRecords      *obs.Counter
-	batchStreams      *obs.Counter
-	framesOversized   *obs.Counter
 
-	// Sharded-book and codec-negotiation families. The shard vecs are bound
-	// per shard at server construction; codecs is bound per negotiated name.
+	// Sharded-book families, bound per shard at server construction.
 	shardQueue *obs.GaugeVec
 	shardRun   *obs.GaugeVec
 	shardTasks *obs.CounterVec
-	codecs     *obs.CounterVec
 
 	// Trace-v2 cohort attribution: outcomes and yields split by workload
 	// cohort, same families the simulator's obsRecorder feeds.
@@ -182,8 +175,6 @@ func newServerMetrics(reg *obs.Registry, site string) serverMetrics {
 		rpcAward:     rpc.With(site, TypeAward),
 		rpcBidSec:    rpcSec.With(site, TypeBid),
 		rpcAwardSec:  rpcSec.With(site, TypeAward),
-		connections:  reg.Gauge("wire_connections", "Live client connections.", "site").With(site),
-		idleReaps:    reg.Counter("wire_idle_reaps_total", "Connections closed by the idle timeout.", "site").With(site),
 		accepted:     tasks.With(site, "accepted"),
 		rejected:     tasks.With(site, "rejected"),
 		completed:    tasks.With(site, "completed"),
@@ -208,12 +199,9 @@ func newServerMetrics(reg *obs.Registry, site string) serverMetrics {
 		validateMismatch:  validates.With(site, "mismatch"),
 		batchSyncs:        reg.Counter("site_journal_batch_syncs_total", "Group-commit fsync rounds.", "site").With(site),
 		batchRecords:      reg.Counter("site_journal_batch_records_total", "Journal records made durable by group-commit rounds.", "site").With(site),
-		batchStreams:      reg.Counter("site_journal_batch_streams_total", "Distinct shard journal streams covered by group-commit rounds.", "site").With(site),
-		framesOversized:   reg.Counter("wire_frames_oversized_total", "Inbound frames rejected for exceeding the configured size cap.", "site").With(site),
 		shardQueue:        reg.Gauge("site_shard_queue_depth", "Pending (queued, not running) tasks per book shard.", "site", "shard"),
 		shardRun:          reg.Gauge("site_shard_running_tasks", "Tasks occupying processors, by owning book shard.", "site", "shard"),
 		shardTasks:        reg.Counter("site_shard_tasks_total", "Task outcomes per book shard.", "site", "shard", "event"),
-		codecs:            reg.Counter("wire_codec_negotiated_total", "Connections by negotiated wire codec; json-v1 means a pre-handshake v1 client.", "site", "codec"),
 		recovered:         reg.Counter("site_contracts_recovered_total", "Open contracts honored after a restart.", "site").With(site),
 		defaulted:         reg.Counter("site_contracts_defaulted_total", "Contracts closed with a penalty during crash recovery.", "site").With(site),
 		recoverySeconds:   reg.Gauge("site_recovery_seconds", "Time spent replaying the contract journal at startup.", "site").With(site),
@@ -243,12 +231,6 @@ func (m *serverMetrics) cohortEvent(cohort, event string) {
 	m.cohortTasks.With(m.site, obs.CohortLabel(cohort), event).Inc()
 }
 
-// codecNegotiated counts one connection settling on a wire codec. The
-// codecLabelV1 pseudo-name records clients that never sent a hello.
-func (m *serverMetrics) codecNegotiated(codec string) {
-	m.codecs.With(m.site, codec).Inc()
-}
-
 // observeYield books a settlement into the yield/penalty counters and
 // their cohort splits, matching the simulator recorder's sign convention:
 // non-negative settles as realized yield, negative as penalty (absolute).
@@ -264,7 +246,7 @@ func (m *serverMetrics) observeYield(cohort string, v float64) {
 }
 
 // exchangeObs carries the negotiation-side instruments and log/trace sinks
-// through callWithRetry and proposeAll, shared by the client-side
+// through callWithRetry and proposeEach, shared by the client-side
 // Negotiator (role "client") and the broker (role "broker").
 type exchangeObs struct {
 	log      *obs.Logger

@@ -140,19 +140,18 @@ func (b *BrokerServer) peerLane(peer string) (*SiteClient, error) {
 
 // forwardEnvelope ships env to a peer broker with the Forwarded loop guard
 // set and returns the peer's reply, retrying once across a redial on a
-// transient failure.
+// transient failure — the site-call retry path, counted the same way.
 func (b *BrokerServer) forwardEnvelope(peer string, env Envelope) (Envelope, error) {
 	lane, err := b.peerLane(peer)
 	if err != nil {
 		return Envelope{}, err
 	}
 	env.Forwarded = true
-	reply, err := lane.roundTrip(env)
-	if err != nil && transientErr(err) {
-		if rerr := lane.Redial(); rerr == nil {
-			reply, err = lane.roundTrip(env)
-		}
-	}
+	var reply Envelope
+	err = callWithRetry(lane, 1, b.cfg.backoff(), b.eo, nil, func() (err error) {
+		reply, err = lane.roundTrip(env)
+		return err
+	})
 	if err != nil {
 		return Envelope{}, err
 	}

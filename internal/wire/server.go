@@ -1,12 +1,8 @@
 package wire
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net"
 	"sort"
 	"strconv"
 	"sync"
@@ -115,31 +111,6 @@ func (c ServerConfig) shardCount() int {
 	return c.Shards
 }
 
-const (
-	defaultIdleTimeout  = 2 * time.Minute
-	defaultWriteTimeout = 10 * time.Second
-)
-
-func (c ServerConfig) idleTimeout() time.Duration {
-	if c.IdleTimeout == 0 {
-		return defaultIdleTimeout
-	}
-	if c.IdleTimeout < 0 {
-		return 0
-	}
-	return c.IdleTimeout
-}
-
-func (c ServerConfig) writeTimeout() time.Duration {
-	if c.WriteTimeout == 0 {
-		return defaultWriteTimeout
-	}
-	if c.WriteTimeout < 0 {
-		return 0
-	}
-	return c.WriteTimeout
-}
-
 // Server is a real-time task-service site: the same policy, quoting, and
 // admission logic as the simulated site, executing tasks on wall-clock
 // timers and serving the Figure 1 protocol over TCP. Scheduling is
@@ -150,10 +121,11 @@ func (c ServerConfig) writeTimeout() time.Duration {
 // snapshot; processors are a single site-wide pool filled by a global
 // dispatch planner that locks every shard. Lock order is always
 // dispatchMu → shard locks (ascending) → mu; mu is a leaf guarding only
-// connections, the closed flag, and the exported stats.
+// the exported stats. The endpoint's lock (connections and the closed
+// flag) is a leaf too.
 type Server struct {
 	cfg  ServerConfig
-	ln   net.Listener
+	ep   *endpoint
 	log  *obs.Logger
 	m    serverMetrics
 	shed *shedGate
@@ -183,11 +155,7 @@ type Server struct {
 	// Contract durability (nil j means the server is memory-only).
 	j *durable.Journal
 
-	mu     sync.Mutex
-	conns  map[*serverConn]struct{}
-	closed bool
-
-	wg      sync.WaitGroup // connection + accept goroutines
+	mu      sync.Mutex
 	timerWG sync.WaitGroup // in-flight completion callbacks
 
 	// Stats, guarded by mu.
@@ -251,21 +219,6 @@ type unsyncedAward struct {
 	t   *task.Task
 }
 
-type serverConn struct {
-	mu           sync.Mutex // serializes writes; settlements race with replies
-	conn         net.Conn
-	bw           *bufio.Writer
-	writeTimeout time.Duration
-	codec        Codec  // write-side codec; swapped once at handshake, under mu
-	enc          []byte // reusable encode buffer, guarded by mu
-
-	// digestMu guards the connection's digest-push subscription; a
-	// re-subscription replaces the running pusher, and the serve loop stops
-	// it at disconnect so a long push interval cannot outlive the conn.
-	digestMu   sync.Mutex
-	digestStop chan struct{}
-}
-
 // startDigest installs stop as the connection's digest-pusher cancel
 // channel, stopping any previous pusher (a re-subscription replaces the
 // old cadence rather than doubling the pushes).
@@ -286,36 +239,6 @@ func (c *serverConn) stopDigest() {
 		c.digestStop = nil
 	}
 	c.digestMu.Unlock()
-}
-
-func (c *serverConn) setCodec(codec Codec) {
-	c.mu.Lock()
-	c.codec = codec
-	c.mu.Unlock()
-}
-
-func (c *serverConn) send(e Envelope) error {
-	// Encode into the connection's scratch buffer under the write lock: an
-	// encode error writes nothing, and the buffer is reused frame after
-	// frame so steady-state sends allocate nothing.
-	c.mu.Lock()
-	buf, err := c.codec.Append(c.enc[:0], &e)
-	if err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	if cap(buf) <= maxPooledEncBuf {
-		c.enc = buf
-	}
-	if c.writeTimeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-	_, err = c.bw.Write(buf)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.mu.Unlock()
-	return err
 }
 
 // NewServer starts a site listening on addr ("host:port"; port 0 picks a
@@ -347,18 +270,26 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("wire: unknown codec %q", name)
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
+	log := cfg.Logger.With("site", cfg.SiteID)
+	ep, err := listen(addr, endpointConfig{
+		label:         cfg.SiteID,
+		codecs:        cfg.Codecs,
+		idleTimeout:   cfg.IdleTimeout,
+		writeTimeout:  cfg.WriteTimeout,
+		maxFrameBytes: cfg.MaxFrameBytes,
+		metrics:       cfg.Metrics,
+		log:           log,
+	})
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:   cfg,
-		ln:    ln,
-		log:   cfg.Logger.With("site", cfg.SiteID),
+		ep:    ep,
+		log:   log,
 		m:     newServerMetrics(cfg.Metrics, cfg.SiteID),
 		shed:  newShedGate(cfg.MaxPending, cfg.MaxInflightBids),
 		start: time.Now(),
-		conns: make(map[*serverConn]struct{}),
 	}
 	nshards := cfg.shardCount()
 	s.shards = make([]*bookShard, nshards)
@@ -386,7 +317,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		// Recovery runs to completion before the listener accepts: the
 		// first bid already quotes against the recovered queue.
 		if err := s.openJournal(); err != nil {
-			ln.Close()
+			ep.ln.Close()
 			return nil, err
 		}
 	}
@@ -395,8 +326,7 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	for _, sh := range s.shards {
 		sh.publishLocked()
 	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	ep.start(s.handle, s.gone)
 	return s, nil
 }
 
@@ -486,25 +416,35 @@ func (s *Server) boardsCurrent(snap *site.QuoteSnapshot, parts []*site.QuoteSnap
 }
 
 // Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ep.ln.Addr().String() }
 
 // Close stops accepting connections, severs live ones, cancels pending
 // completion timers, and waits for in-flight completion callbacks and
 // connection goroutines to drain. In-flight tasks are abandoned and their
 // settlements are never sent; Close is safe to call more than once.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	// The book is drained before the connections are severed, so a
+	// disconnect finds no queued task to abandon and journals nothing: the
+	// open contracts stay recoverable.
+	first, err := s.ep.close(s.abandonBook)
+	if !first {
 		return nil
 	}
-	s.closed = true
-	conns := make([]*serverConn, 0, len(s.conns))
-	for sc := range s.conns {
-		conns = append(conns, sc)
+	s.timerWG.Wait()
+	if s.j != nil {
+		// Contracts still open here were journaled but never closed: the
+		// next start recovers them. Close flushes the tail and writes the
+		// clean-shutdown marker.
+		if jerr := s.j.Close(); jerr != nil && err == nil {
+			err = jerr
+		}
 	}
-	s.mu.Unlock()
+	return err
+}
 
+// abandonBook abandons every queued task and cancels every completion
+// timer that has not fired, at shutdown.
+func (s *Server) abandonBook() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		for _, t := range sh.pending {
@@ -524,28 +464,6 @@ func (s *Server) Close() error {
 		sh.syncGaugesLocked()
 		sh.mu.Unlock()
 	}
-
-	err := s.ln.Close()
-	for _, sc := range conns {
-		_ = sc.conn.Close()
-	}
-	s.wg.Wait()
-	s.timerWG.Wait()
-	if s.j != nil {
-		// Contracts still open here were journaled but never closed: the
-		// next start recovers them. Close flushes the tail and writes the
-		// clean-shutdown marker.
-		if jerr := s.j.Close(); jerr != nil && err == nil {
-			err = jerr
-		}
-	}
-	return err
-}
-
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // now returns the current time in simulation units since server start.
@@ -621,136 +539,34 @@ func (sh *bookShard) abandonLocked(t *task.Task, at float64, detail string) {
 	sh.traceLocked(obs.StageAbandon, t.ID, detail)
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(conn)
-		}()
+// handle answers one request on a client connection.
+func (s *Server) handle(sc *serverConn, env Envelope) Envelope {
+	began := time.Now()
+	switch env.Type {
+	case TypeBid:
+		reply := s.handleBid(env)
+		s.m.rpcBid.Inc()
+		s.m.rpcBidSec.Observe(time.Since(began).Seconds())
+		return reply
+	case TypeAward:
+		reply := s.handleAward(env, sc)
+		s.m.rpcAward.Inc()
+		s.m.rpcAwardSec.Observe(time.Since(began).Seconds())
+		return reply
+	case TypeQuery:
+		s.m.rpcQuery.Inc()
+		return s.handleQuery(env, sc)
+	case TypeDigestSub:
+		return s.handleDigestSub(env, sc)
 	}
+	return Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
 }
 
-func (s *Server) serve(conn net.Conn) {
-	sc := &serverConn{conn: conn, bw: bufio.NewWriter(conn), writeTimeout: s.cfg.writeTimeout(), codec: defaultCodec()}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[sc] = struct{}{}
-	s.mu.Unlock()
-	s.m.connections.Add(1)
-	defer func() {
-		sc.stopDigest()
-		conn.Close()
-		s.m.connections.Add(-1)
-		s.mu.Lock()
-		delete(s.conns, sc)
-		s.mu.Unlock()
-		s.dropOwner(sc)
-	}()
-
-	idle := s.cfg.idleTimeout()
-	br := bufio.NewReaderSize(conn, 64*1024)
-	limit := maxFrameBytes(s.cfg.MaxFrameBytes)
-	rd := defaultCodec()
-	var scratch []byte
-	var env Envelope
-	first := true
-	for {
-		if idle > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		if err := rd.Read(br, limit, &scratch, &env); err != nil {
-			switch {
-			case errors.Is(err, ErrTooLong):
-				// The oversized frame was drained whole: report the protocol
-				// error and keep serving the connection.
-				s.m.framesOversized.Inc()
-				s.log.Warn("oversized frame discarded", "remote", conn.RemoteAddr().String(), "limit_bytes", limit)
-				if serr := sc.send(Envelope{Type: TypeError, Reason: err.Error()}); serr != nil {
-					return
-				}
-				continue
-			case IsProtocolError(err):
-				if serr := sc.send(Envelope{Type: TypeError, Reason: err.Error()}); serr != nil {
-					return
-				}
-				continue
-			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					s.m.idleReaps.Inc()
-					s.log.Info("connection idle-reaped", "remote", conn.RemoteAddr().String())
-				} else {
-					s.log.Warn("connection read error", "remote", conn.RemoteAddr().String(), "err", err.Error())
-				}
-			}
-			return
-		}
-		if env.Type == TypeHello {
-			if !first {
-				// A handshake can only open a session; mid-session hellos are
-				// protocol errors, answered without dropping the connection.
-				if serr := sc.send(Envelope{Type: TypeError, ReqID: env.ReqID, Reason: "wire: hello after session established"}); serr != nil {
-					return
-				}
-				continue
-			}
-			first = false
-			reply, next, ok := helloReply(env, s.cfg.Codecs, s.cfg.SiteID)
-			// The reply always travels as v1 JSON; only after it is flushed
-			// does the connection switch codecs.
-			if serr := sc.send(reply); serr != nil {
-				return
-			}
-			if ok {
-				sc.setCodec(next)
-				rd = next
-				s.m.codecNegotiated(next.Name())
-				s.log.Info("negotiated wire codec", "remote", conn.RemoteAddr().String(), "codec", next.Name())
-			} else {
-				s.m.codecNegotiated(codecLabelV1)
-			}
-			continue
-		}
-		if first {
-			// A bare envelope as the first frame is a v1 client.
-			first = false
-			s.m.codecNegotiated(codecLabelV1)
-		}
-		began := time.Now()
-		var reply Envelope
-		switch env.Type {
-		case TypeBid:
-			reply = s.handleBid(env)
-			s.m.rpcBid.Inc()
-			s.m.rpcBidSec.Observe(time.Since(began).Seconds())
-		case TypeAward:
-			reply = s.handleAward(env, sc)
-			s.m.rpcAward.Inc()
-			s.m.rpcAwardSec.Observe(time.Since(began).Seconds())
-		case TypeQuery:
-			reply = s.handleQuery(env, sc)
-			s.m.rpcQuery.Inc()
-		case TypeDigestSub:
-			reply = s.handleDigestSub(env, sc)
-		default:
-			reply = Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
-		}
-		reply.ReqID = env.ReqID
-		if err := sc.send(reply); err != nil {
-			return
-		}
-	}
+// gone releases a disconnected client's state: its digest pusher and the
+// contracts it owned.
+func (s *Server) gone(sc *serverConn) {
+	sc.stopDigest()
+	s.dropOwner(sc)
 }
 
 // dropOwner forgets a disconnected client's contracts: queued tasks are
@@ -785,7 +601,7 @@ func (s *Server) dropOwner(sc *serverConn) {
 				// One timestamp: a restart re-seeds the ledger from the record.
 				now := s.now()
 				sh.abandonLocked(p, now, "client disconnected")
-				if err := s.appendRecord(sh.id, contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "client disconnected"}); err != nil {
+				if err := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "client disconnected"}); err != nil {
 					s.log.Warn("journal abandon record failed", "task", id, "err", err.Error())
 				}
 				s.log.Info("dropped queued task: client disconnected", "task", id)
@@ -978,8 +794,8 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	sb := market.ServerBid{SiteID: s.cfg.SiteID, TaskID: t.ID,
 		ExpectedCompletion: q.ExpectedCompletion, ExpectedPrice: q.ExpectedYield}
 	// Append under the shard lock — the record order matches the book order
-	// within the shard's stream — but do not wait for the disk here.
-	idx, journaled, jerr := s.appendRecordIdx(sh.id, contractRecord{
+	// within the shard — but do not wait for the disk here.
+	idx, journaled, jerr := s.appendRecordIdx(contractRecord{
 		Kind: recContract, TaskID: t.ID, Req: bid.ReqID,
 		Arrival: t.Arrival, Runtime: t.Runtime, Value: t.Value,
 		Decay: t.Decay, Bound: EncodeBound(t.Bound),
@@ -1152,7 +968,7 @@ func (s *Server) rollbackUnsyncedAward(t *task.Task, idx uint64, serr error) boo
 		delete(sh.prices, t.ID)
 		delete(sh.reqs, t.ID)
 		t.State = task.Rejected
-		if aerr := s.appendRecord(sh.id, contractRecord{Kind: recAbandon, TaskID: t.ID, T: s.now(), Reason: "award refused: journal sync failed"}); aerr != nil {
+		if aerr := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: t.ID, T: s.now(), Reason: "award refused: journal sync failed"}); aerr != nil {
 			s.log.Warn("journal abandon record failed", "task", t.ID, "err", aerr.Error())
 		}
 		sh.syncGaugesLocked()
@@ -1238,7 +1054,7 @@ func (s *Server) dispatch() {
 // dispatchAllLocked is the planner body. Callers must hold dispatchMu and
 // every shard lock.
 func (s *Server) dispatchAllLocked() {
-	if s.isClosed() {
+	if s.ep.isClosed() {
 		return
 	}
 	now := s.now()
@@ -1292,7 +1108,7 @@ func (s *Server) dispatchAllLocked() {
 		t.Start = now
 		sh.running[t.ID] = t
 		s.nRunning.Add(1)
-		if err := s.appendRecord(sh.id, contractRecord{Kind: recStart, TaskID: t.ID, T: now}); err != nil {
+		if err := s.appendRecord(contractRecord{Kind: recStart, TaskID: t.ID, T: now}); err != nil {
 			// Non-fatal: a lost start record only weakens the crash regime
 			// (the task recovers as queued instead of crash-preempted).
 			s.log.Warn("journal start record failed", "task", t.ID, "err", err.Error())
@@ -1318,7 +1134,7 @@ func (s *Server) complete(t *task.Task) {
 	sh := s.shardFor(t.ID)
 	sh.mu.Lock()
 	delete(sh.timers, t.ID)
-	if s.isClosed() {
+	if s.ep.isClosed() {
 		// Shutdown racing the timer: abandon rather than settle, so no
 		// settlement is sent after Close returns.
 		delete(sh.running, t.ID)
@@ -1337,7 +1153,7 @@ func (s *Server) complete(t *task.Task) {
 	t.Yield = t.YieldAtCompletion(now)
 	delete(sh.running, t.ID)
 	s.nRunning.Add(-1)
-	settleIdx, settleJournaled, err := s.appendRecordIdx(sh.id, contractRecord{Kind: recSettle, TaskID: t.ID, T: now, Price: t.Yield})
+	settleIdx, settleJournaled, err := s.appendRecordIdx(contractRecord{Kind: recSettle, TaskID: t.ID, T: now, Price: t.Yield})
 	if err != nil {
 		s.log.Warn("journal settle record failed", "task", t.ID, "err", err.Error())
 	}
