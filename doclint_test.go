@@ -18,10 +18,17 @@ import (
 // name: reg.Counter("site_tasks_total", ...), including multi-line calls.
 var metricRegRe = regexp.MustCompile(`\.(Counter|Gauge|Histogram|GaugeFunc)\(\s*"([a-z_][a-zA-Z0-9_:]*)"`)
 
+// docMetricRowRe matches a metric family name in the first cell of a
+// DESIGN.md table row: | `site_tasks_total` | counter | ... or
+// | `site_quote_snapshot_quotes_total{site,path}` | ...
+var docMetricRowRe = regexp.MustCompile("^\\|\\s*`((?:site|wire|broker|market)_[a-z0-9_]*)")
+
 // TestMetricFamiliesDocumented greps every metric family name registered
-// anywhere in the source tree and fails if DESIGN.md does not mention it.
+// anywhere in the source tree and fails if DESIGN.md does not mention it,
+// and fails if a DESIGN.md metric table lists a family no code registers.
 // The scrape is a public interface: a family that ships undocumented is a
-// dashboard nobody can build.
+// dashboard nobody can build, and a documented family that no longer
+// ships is a dashboard that silently stays empty.
 func TestMetricFamiliesDocumented(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -68,6 +75,20 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	sort.Strings(missing)
 	for _, m := range missing {
 		t.Errorf("metric family not documented in DESIGN.md: %s", m)
+	}
+	rows := 0
+	for i, line := range bytes.Split(design, []byte("\n")) {
+		m := docMetricRowRe.FindSubmatch(line)
+		if m == nil {
+			continue
+		}
+		rows++
+		if _, ok := seen[string(m[1])]; !ok {
+			t.Errorf("DESIGN.md:%d documents metric family %s, which no code registers", i+1, m[1])
+		}
+	}
+	if rows == 0 {
+		t.Fatal("found no metric table rows in DESIGN.md — the row regex is broken")
 	}
 }
 

@@ -6,20 +6,13 @@ import (
 	"repro/internal/obs"
 )
 
-// obsRecorder bridges the site's audit stream into the observability
-// layer: every scheduling decision updates the site_* metric families
-// (the same series a live wire.Server exposes, so simulated and real
-// schedulers are comparable on one dashboard) and, when a tracer is
-// bound, emits a task-lifecycle trace event in the shared JSON format.
-type obsRecorder struct {
-	tracer *obs.Tracer
-	siteID string
-
-	accepted    *obs.Counter
-	rejected    *obs.Counter
-	completed   *obs.Counter
-	parked      *obs.Counter
-	preemptions *obs.Counter
+// Instruments is the site_* metric family set a simulated site (through
+// NewObsRecorder) and a live wire.Server both bind, so simulated and real
+// schedulers expose identical series on one dashboard (DESIGN.md §8). A nil
+// registry yields a valid no-op set.
+type Instruments struct {
+	siteID      string
+	tasks       *obs.CounterVec
 	queueDepth  *obs.Gauge
 	running     *obs.Gauge
 	slack       *obs.Histogram
@@ -28,34 +21,24 @@ type obsRecorder struct {
 	rankOps     *obs.Counter
 	quoteHits   *obs.Counter
 	quoteMisses *obs.Counter
-
-	// Trace-v2 cohort attribution: the same outcomes and yields split by
-	// workload cohort (label "none" for unlabeled tasks).
 	cohortTasks *obs.CounterVec
 	cohortYield *obs.CounterVec
 }
 
-// simSlackBuckets mirror the wire layer's admission-slack buckets (see
-// DESIGN.md §8) without importing it.
-var simSlackBuckets = []float64{-1000, -250, -100, -50, -10, 0, 10, 25, 50, 100, 250, 500, 1000, 5000}
+// slackBuckets cover the admission slack range seen in the paper's
+// regimes: deeply negative (reject territory) through comfortable.
+var slackBuckets = []float64{-1000, -250, -100, -50, -10, 0, 10, 25, 50, 100, 250, 500, 1000, 5000}
 
-// NewObsRecorder builds a Recorder that feeds reg and tracer (either may
-// be nil) with events labeled by siteID. Compose it with an audit Log via
-// MultiRecorder when both are wanted.
-func NewObsRecorder(reg *obs.Registry, tracer *obs.Tracer, siteID string) Recorder {
-	tasks := reg.Counter("site_tasks_total", "Task outcomes at this site.", "site", "event")
+// NewInstruments registers (or finds) the shared site_* families on reg and
+// binds them to siteID.
+func NewInstruments(reg *obs.Registry, siteID string) *Instruments {
 	quotes := reg.Counter("site_quote_reuse", "Quote evaluations by base-candidate cache outcome.", "site", "result")
-	return &obsRecorder{
-		tracer:      tracer,
+	return &Instruments{
 		siteID:      siteID,
-		accepted:    tasks.With(siteID, "accepted"),
-		rejected:    tasks.With(siteID, "rejected"),
-		completed:   tasks.With(siteID, "completed"),
-		parked:      tasks.With(siteID, "parked"),
-		preemptions: tasks.With(siteID, "preempted"),
+		tasks:       reg.Counter("site_tasks_total", "Task outcomes at this site.", "site", "event"),
 		queueDepth:  reg.Gauge("site_queue_depth", "Pending (queued, not running) tasks.", "site").With(siteID),
 		running:     reg.Gauge("site_running_tasks", "Tasks occupying processors.", "site").With(siteID),
-		slack:       reg.Histogram("site_admission_slack", "Admission slack of quoted bids (finite values only).", simSlackBuckets, "site").With(siteID),
+		slack:       reg.Histogram("site_admission_slack", "Admission slack of quoted bids (finite values only).", slackBuckets, "site").With(siteID),
 		yield:       reg.Counter("site_yield_total", "Realized positive yield.", "site").With(siteID),
 		penalty:     reg.Counter("site_penalty_total", "Realized penalties (absolute value).", "site").With(siteID),
 		rankOps:     reg.Counter("site_dispatch_rank_ops", "Full priority-ranking passes spent dispatching.", "site").With(siteID),
@@ -63,6 +46,86 @@ func NewObsRecorder(reg *obs.Registry, tracer *obs.Tracer, siteID string) Record
 		quoteMisses: quotes.With(siteID, "miss"),
 		cohortTasks: reg.Counter("site_cohort_tasks_total", "Task outcomes split by trace-v2 workload cohort.", "site", "cohort", "event"),
 		cohortYield: reg.Counter("site_cohort_yield_total", "Realized yield and penalties split by trace-v2 workload cohort.", "site", "cohort", "kind"),
+	}
+}
+
+// Tasks binds the site_tasks_total counter of one outcome event.
+func (m *Instruments) Tasks(event string) *obs.Counter { return m.tasks.With(m.siteID, event) }
+
+// Cohort books one task outcome against its workload cohort (CohortLabel
+// maps unlabeled tasks to "none").
+func (m *Instruments) Cohort(cohort, event string) {
+	m.cohortTasks.With(m.siteID, obs.CohortLabel(cohort), event).Inc()
+}
+
+// Slack records a quoted slack. Infinite slacks (zero-decay tasks) are
+// skipped: they carry no distributional information and would poison the
+// histogram sum.
+func (m *Instruments) Slack(v float64) {
+	if !math.IsInf(v, 0) {
+		m.slack.Observe(v)
+	}
+}
+
+// Settle books a realized settlement and its cohort split: non-negative
+// settles as realized yield, negative as penalty (absolute value).
+func (m *Instruments) Settle(cohort string, v float64) {
+	lbl := obs.CohortLabel(cohort)
+	if v >= 0 {
+		m.yield.Add(v)
+		m.cohortYield.With(m.siteID, lbl, "realized").Add(v)
+	} else {
+		m.penalty.Add(-v)
+		m.cohortYield.With(m.siteID, lbl, "penalty").Add(-v)
+	}
+}
+
+// Depth sets the queue-depth and running-task gauges.
+func (m *Instruments) Depth(queued, running int) {
+	m.queueDepth.Set(float64(queued))
+	m.running.Set(float64(running))
+}
+
+// RankOps counts priority-ranking passes spent dispatching.
+func (m *Instruments) RankOps(n int) { m.rankOps.Add(float64(n)) }
+
+// QuoteReuse counts one quote evaluation by base-candidate cache outcome.
+func (m *Instruments) QuoteReuse(hit bool) {
+	if hit {
+		m.quoteHits.Inc()
+	} else {
+		m.quoteMisses.Inc()
+	}
+}
+
+// obsRecorder bridges the site's audit stream into the observability
+// layer: every scheduling decision updates the shared site_* instruments
+// and, when a tracer is bound, emits a task-lifecycle trace event in the
+// shared JSON format.
+type obsRecorder struct {
+	*Instruments
+	tracer *obs.Tracer
+
+	accepted    *obs.Counter
+	rejected    *obs.Counter
+	completed   *obs.Counter
+	parked      *obs.Counter
+	preemptions *obs.Counter
+}
+
+// NewObsRecorder builds a Recorder that feeds reg and tracer (either may
+// be nil) with events labeled by siteID. Compose it with an audit Log via
+// MultiRecorder when both are wanted.
+func NewObsRecorder(reg *obs.Registry, tracer *obs.Tracer, siteID string) Recorder {
+	m := NewInstruments(reg, siteID)
+	return &obsRecorder{
+		Instruments: m,
+		tracer:      tracer,
+		accepted:    m.Tasks("accepted"),
+		rejected:    m.Tasks("rejected"),
+		completed:   m.Tasks("completed"),
+		parked:      m.Tasks("parked"),
+		preemptions: m.Tasks("preempted"),
 	}
 }
 
@@ -93,46 +156,38 @@ func (r *obsRecorder) Record(e Event) {
 	// Scheduler telemetry: counter-only, no task lifecycle. Return early
 	// so the per-task trace stream is not flooded with rank/quote noise.
 	case EventRank:
-		r.rankOps.Add(e.Value)
+		r.RankOps(int(e.Value))
 		return
-	case EventQuoteHit:
-		r.quoteHits.Inc()
-		return
-	case EventQuoteMiss:
-		r.quoteMisses.Inc()
+	case EventQuoteHit, EventQuoteMiss:
+		r.QuoteReuse(e.Kind == EventQuoteHit)
 		return
 	}
 	cohort := ""
 	if e.Task != nil {
-		cohort = obs.CohortLabel(e.Task.Cohort)
+		cohort = e.Task.Cohort
 	}
 	switch e.Kind {
 	case EventSubmit:
 		r.accepted.Inc()
-		r.cohortEvent(cohort, "accepted")
-		if !math.IsInf(e.Value, 0) {
-			r.slack.Observe(e.Value)
-		}
+		r.Cohort(cohort, "accepted")
+		r.Slack(e.Value)
 	case EventReject:
 		r.rejected.Inc()
-		r.cohortEvent(cohort, "rejected")
-		if !math.IsInf(e.Value, 0) {
-			r.slack.Observe(e.Value)
-		}
+		r.Cohort(cohort, "rejected")
+		r.Slack(e.Value)
 	case EventPreempt:
 		r.preemptions.Inc()
-		r.cohortEvent(cohort, "preempted")
+		r.Cohort(cohort, "preempted")
 	case EventComplete:
 		r.completed.Inc()
-		r.cohortEvent(cohort, "completed")
-		r.observeYield(cohort, e.Value)
+		r.Cohort(cohort, "completed")
+		r.Settle(cohort, e.Value)
 	case EventPark:
 		r.parked.Inc()
-		r.cohortEvent(cohort, "parked")
-		r.observeYield(cohort, e.Value)
+		r.Cohort(cohort, "parked")
+		r.Settle(cohort, e.Value)
 	}
-	r.queueDepth.Set(float64(e.Queued))
-	r.running.Set(float64(e.Running))
+	r.Depth(e.Queued, e.Running)
 	if r.tracer != nil {
 		ev := obs.TraceEvent{
 			Stage:   stageFor(e.Kind),
@@ -151,28 +206,6 @@ func (r *obsRecorder) Record(e Event) {
 			}
 		}
 		r.tracer.Emit(ev)
-	}
-}
-
-// cohortEvent books one task outcome against its cohort.
-func (r *obsRecorder) cohortEvent(cohort, event string) {
-	if cohort == "" {
-		return // telemetry event with no task attached
-	}
-	r.cohortTasks.With(r.siteID, cohort, event).Inc()
-}
-
-func (r *obsRecorder) observeYield(cohort string, v float64) {
-	if v >= 0 {
-		r.yield.Add(v)
-		if cohort != "" {
-			r.cohortYield.With(r.siteID, cohort, "realized").Add(v)
-		}
-	} else {
-		r.penalty.Add(-v)
-		if cohort != "" {
-			r.cohortYield.With(r.siteID, cohort, "penalty").Add(-v)
-		}
 	}
 }
 

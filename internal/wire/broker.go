@@ -163,6 +163,38 @@ func (c BrokerConfig) parkedCap() int {
 	return c.ParkedSettlements
 }
 
+// maxQuotes bounds the quotes the broker remembers: a quote still standing
+// when maxQuotes newer ones have been issued is forgotten. Without the
+// bound, every bid whose client never awards — it disconnected, or it
+// quoted through several brokers and awarded at one — would stay forever.
+const maxQuotes = 1024
+
+// brokerState is where a brokered task stands on the broker's book.
+type brokerState uint8
+
+const (
+	// brokerQuoted: a site's quote won the bid and stands for the award.
+	brokerQuoted brokerState = iota
+	// brokerAwarded: the award left for the quoting site or a peer broker;
+	// the record routes the eventual settlement to its owner.
+	brokerAwarded
+	// brokerSettled: the settlement arrived and the record left the book;
+	// an award reply still in flight sees this and records nothing.
+	brokerSettled
+)
+
+// brokered is the broker's one record of a task it brokers.
+type brokered struct {
+	id    task.ID
+	state brokerState
+	// site is the quoting site while quoted and the holder once the site
+	// acked the award; nil while the award is in flight or forwarded.
+	site  *brokerSite
+	owner *serverConn      // client the settlement goes to; nil after a disconnect
+	terms market.ServerBid // contract terms once the holder is known, for lateness
+	peer  string           // ring id of the peer broker a forwarded award went to
+}
+
 // BrokerServer is Figure 1's broker as a standalone process: clients speak
 // the ordinary bid/award protocol to it, and it coordinates the fan-out,
 // selection, and award against the site servers, relaying settlements back
@@ -175,13 +207,11 @@ type BrokerServer struct {
 	eo    exchangeObs
 	m     brokerMetrics
 
-	mu       sync.Mutex
-	chosen   map[task.ID]*brokerSite      // accepted proposal awaiting award
-	placed   map[task.ID]*brokerSite      // awarded task -> holding site
-	owners   map[task.ID]*serverConn      // awarded task -> client connection
-	terms    map[task.ID]market.ServerBid // contract terms, for settlement lateness
-	fwdOwner map[task.ID]string           // task forwarded to a peer -> that peer's ring id
-	parked   []Envelope                   // settlements held for disconnected owners (bounded ring)
+	mu        sync.Mutex
+	book      map[task.ID]*brokered
+	quotes    [maxQuotes]*brokered // the latest quotes, a ring in issue order
+	nextQuote int                  // ring slot the next quote takes, evicting its occupant
+	parked    []Envelope           // settlements held for disconnected owners (bounded ring)
 
 	// Peer ring for consistent-hash broker sharding (DESIGN.md §16).
 	peerMu    sync.Mutex
@@ -309,11 +339,7 @@ func NewBrokerServer(addr string, cfg BrokerConfig) (*BrokerServer, error) {
 		cfg:       cfg,
 		eo:        newExchangeObs(cfg.Metrics, cfg.Logger.With("role", "broker"), cfg.Tracer, "broker"),
 		m:         newBrokerMetrics(cfg.Metrics),
-		chosen:    make(map[task.ID]*brokerSite),
-		placed:    make(map[task.ID]*brokerSite),
-		owners:    make(map[task.ID]*serverConn),
-		terms:     make(map[task.ID]market.ServerBid),
-		fwdOwner:  make(map[task.ID]string),
+		book:      make(map[task.ID]*brokered),
 		peerLanes: make(map[string]*SiteClient),
 		stop:      make(chan struct{}),
 	}
@@ -409,18 +435,52 @@ func (b *BrokerServer) handle(sc *serverConn, env Envelope) Envelope {
 	return Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
 }
 
-// gone forgets a disconnected client's awarded contracts; their later
-// settlements park until a query recovers them.
+// gone orphans a disconnected client's awarded contracts: their later
+// settlements park until a query recovers them, and each record keeps its
+// holder for that query to poll. Standing quotes stay for a client that
+// redials before it awards.
 func (b *BrokerServer) gone(sc *serverConn) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for id, owner := range b.owners {
-		if owner == sc {
-			delete(b.owners, id)
-			delete(b.terms, id)
+	for id, r := range b.book {
+		if r.owner == sc {
+			r.owner = nil
 			b.eo.log.Info("task orphaned: client disconnected before settlement", "task", id)
 		}
 	}
+}
+
+// bookQuoteLocked books a standing quote for id at bs, replacing any earlier
+// record of the task, and evicts the quote that held its ring slot if that
+// one still stands. Callers must hold b.mu.
+func (b *BrokerServer) bookQuoteLocked(id task.ID, bs *brokerSite) {
+	if old := b.quotes[b.nextQuote]; old != nil && old.state == brokerQuoted {
+		b.forgetLocked(old)
+	}
+	r := &brokered{id: id, state: brokerQuoted, site: bs}
+	b.book[id] = r
+	b.quotes[b.nextQuote] = r
+	b.nextQuote = (b.nextQuote + 1) % maxQuotes
+}
+
+// forgetLocked drops r from the book unless a newer record of its task has
+// replaced it. Callers must hold b.mu.
+func (b *BrokerServer) forgetLocked(r *brokered) {
+	if b.book[r.id] == r {
+		delete(b.book, r.id)
+	}
+}
+
+// awardedLocked returns id's awarded record, opening one (in place of any
+// quote) when the broker learns of the contract from a site or a peer.
+// Callers must hold b.mu.
+func (b *BrokerServer) awardedLocked(id task.ID) *brokered {
+	r := b.book[id]
+	if r == nil || r.state != brokerAwarded {
+		r = &brokered{id: id, state: brokerAwarded}
+		b.book[id] = r
+	}
+	return r
 }
 
 // handleBid fans the bid out to the sites whose circuit breakers admit it
@@ -478,7 +538,7 @@ func (b *BrokerServer) handleBid(env Envelope) Envelope {
 	}
 
 	b.mu.Lock()
-	b.chosen[bid.TaskID] = offerCands[i].bs
+	b.bookQuoteLocked(bid.TaskID, offerCands[i].bs)
 	b.mu.Unlock()
 	win := offers[i]
 	b.eo.trace(obs.TraceEvent{Stage: obs.StageBid, Task: uint64(bid.TaskID), Req: bid.ReqID,
@@ -508,20 +568,18 @@ func (b *BrokerServer) handleAward(env Envelope, owner *serverConn) Envelope {
 		return Envelope{Type: TypeError, Reason: err.Error()}
 	}
 
-	b.mu.Lock()
-	site := b.chosen[bid.TaskID]
-	delete(b.chosen, bid.TaskID)
-	b.mu.Unlock()
-	if site == nil {
-		return Envelope{Type: TypeError, TaskID: bid.TaskID, Reason: "award without a standing proposal"}
-	}
-
 	// Register the settlement route before the award leaves: the site starts
 	// the task the moment it accepts, so a short run's settlement push can
 	// race the award reply back through relaySettlement. A settlement that
 	// finds no owner is parked, so the owner should be in place first.
 	b.mu.Lock()
-	b.owners[bid.TaskID] = owner
+	r := b.book[bid.TaskID]
+	if r == nil || r.state != brokerQuoted {
+		b.mu.Unlock()
+		return Envelope{Type: TypeError, TaskID: bid.TaskID, Reason: "award without a standing proposal"}
+	}
+	site := r.site
+	r.state, r.site, r.owner = brokerAwarded, nil, owner
 	b.mu.Unlock()
 
 	// The award goes to the chosen site whatever its breaker says — it is
@@ -534,20 +592,16 @@ func (b *BrokerServer) handleAward(env Envelope, owner *serverConn) Envelope {
 		return err
 	})
 	site.health.onResult(err == nil, time.Since(awardStart), false)
-	if err != nil {
+	if err != nil || !ok {
 		b.mu.Lock()
-		delete(b.owners, bid.TaskID)
+		b.forgetLocked(r)
 		b.Declined++
 		b.mu.Unlock()
-		b.eo.failed.Inc()
-		b.eo.trace(obs.TraceEvent{Stage: obs.StageReject, Task: uint64(bid.TaskID), Req: bid.ReqID, Detail: err.Error()})
-		return Envelope{Type: TypeError, TaskID: bid.TaskID, Reason: err.Error()}
-	}
-	if !ok {
-		b.mu.Lock()
-		delete(b.owners, bid.TaskID)
-		b.Declined++
-		b.mu.Unlock()
+		if err != nil {
+			b.eo.failed.Inc()
+			b.eo.trace(obs.TraceEvent{Stage: obs.StageReject, Task: uint64(bid.TaskID), Req: bid.ReqID, Detail: err.Error()})
+			return Envelope{Type: TypeError, TaskID: bid.TaskID, Reason: err.Error()}
+		}
 		b.eo.declined.Inc()
 		b.eo.trace(obs.TraceEvent{Stage: obs.StageReject, Task: uint64(bid.TaskID), Req: bid.ReqID,
 			Site: sb.SiteID, Detail: "site mix changed since proposal"})
@@ -557,24 +611,22 @@ func (b *BrokerServer) handleAward(env Envelope, owner *serverConn) Envelope {
 		site.noteRouted(bid.Runtime)
 	}
 	b.mu.Lock()
-	// The settlement may already have been relayed (and the owner entry
-	// consumed); only record terms for a contract that is still open.
-	if _, open := b.owners[bid.TaskID]; open {
-		b.terms[bid.TaskID] = terms
-		b.placed[bid.TaskID] = site
+	// The settlement may already have been relayed (the record is settled)
+	// or the owner gone (its settlement parks either way, so the record is
+	// forgotten); otherwise the record learns its holder and terms.
+	if r.state == brokerAwarded {
+		if r.owner == nil {
+			b.forgetLocked(r)
+		} else {
+			r.site, r.terms = site, terms
+		}
 	}
 	b.Placed++
 	b.mu.Unlock()
 	b.eo.placed.Inc()
 	b.eo.trace(obs.TraceEvent{Stage: obs.StageContract, Task: uint64(bid.TaskID), Req: bid.ReqID,
 		Site: terms.SiteID, Value: terms.ExpectedPrice})
-	return Envelope{
-		Type:               TypeContract,
-		TaskID:             terms.TaskID,
-		SiteID:             terms.SiteID,
-		ExpectedCompletion: terms.ExpectedCompletion,
-		ExpectedPrice:      terms.ExpectedPrice,
-	}
+	return contractReply(terms)
 }
 
 // relaySettlement pushes a site's settlement to the owning client. A
@@ -582,12 +634,14 @@ func (b *BrokerServer) handleAward(env Envelope, owner *serverConn) Envelope {
 // instead of dropped; a reconnecting client recovers it with a query.
 func (b *BrokerServer) relaySettlement(e Envelope) {
 	b.mu.Lock()
-	owner := b.owners[e.TaskID]
-	terms, hasTerms := b.terms[e.TaskID]
-	delete(b.owners, e.TaskID)
-	delete(b.terms, e.TaskID)
-	delete(b.placed, e.TaskID)
-	delete(b.fwdOwner, e.TaskID)
+	var owner *serverConn
+	var holder *brokerSite
+	var terms market.ServerBid
+	if r := b.book[e.TaskID]; r != nil && r.state == brokerAwarded {
+		r.state = brokerSettled
+		delete(b.book, e.TaskID)
+		owner, holder, terms = r.owner, r.site, r.terms
+	}
 	if owner == nil {
 		b.parkLocked(e)
 		b.mu.Unlock()
@@ -595,7 +649,7 @@ func (b *BrokerServer) relaySettlement(e Envelope) {
 		return
 	}
 	b.mu.Unlock()
-	if hasTerms {
+	if holder != nil {
 		b.m.lateness.Observe(e.CompletedAt - terms.ExpectedCompletion)
 	}
 	b.eo.trace(obs.TraceEvent{Stage: obs.StageSettle, Task: uint64(e.TaskID), Req: e.ReqID,
@@ -644,42 +698,42 @@ func (b *BrokerServer) handleQuery(env Envelope, sc *serverConn) Envelope {
 		return Envelope{Type: TypeStatus, TaskID: id, SiteID: p.SiteID,
 			ContractState: ContractSettled, CompletedAt: p.CompletedAt, FinalPrice: p.FinalPrice}
 	}
-	terms, open := b.terms[id]
-	holder := b.placed[id]
-	if open {
+	var holder *brokerSite
+	r := b.book[id]
+	if r != nil && r.state == brokerAwarded {
+		holder = r.site
+	}
+	if holder != nil && r.owner != nil {
 		// The contract is live by the broker's book; the querying
 		// connection becomes the owner so the eventual settlement push
 		// reaches it.
-		b.owners[id] = sc
+		r.owner = sc
+		terms := r.terms
 		b.mu.Unlock()
 		// Confirm with the holder site: a settlement push that rode a
 		// severed connection never reached the broker, leaving the book
 		// stale — this query is the recovery path for those contracts.
 		// A failed or still-open confirmation keeps the standing answer.
-		if holder != nil {
-			st, err := holder.primary.Query(id)
-			if err == nil && st.State != ContractOpen && st.State != "" {
-				// Settled/defaulted: the push rode a severed connection and
-				// never arrived. Unknown: the site lost the contract outright
-				// (it abandons queued work when its owner connection dies) —
-				// the fleet's promise is broken, so the broker declares the
-				// default rather than answering "open" forever.
-				state := st.State
-				if state == ContractUnknown {
-					state = ContractDefaulted
-					b.m.defaultReconciled.With(holder.addr).Inc()
-					b.eo.log.Warn("holder site lost open contract; reconciled as default", "task", id, "site", holder.addr)
-				} else {
-					b.eo.log.Info("stale open contract reconciled by query", "task", id, "state", state)
-				}
-				b.mu.Lock()
-				delete(b.owners, id)
-				delete(b.terms, id)
-				delete(b.placed, id)
-				b.mu.Unlock()
-				return Envelope{Type: TypeStatus, TaskID: id, SiteID: holder.primary.SiteID(),
-					ContractState: state, CompletedAt: st.CompletedAt, FinalPrice: st.FinalPrice}
+		st, err := holder.primary.Query(id)
+		if err == nil && st.State != ContractOpen && st.State != "" {
+			// Settled/defaulted: the push rode a severed connection and
+			// never arrived. Unknown: the site lost the contract outright
+			// (it abandons queued work when its owner connection dies) —
+			// the fleet's promise is broken, so the broker declares the
+			// default rather than answering "open" forever.
+			state := st.State
+			if state == ContractUnknown {
+				state = ContractDefaulted
+				b.m.defaultReconciled.With(holder.addr).Inc()
+				b.eo.log.Warn("holder site lost open contract; reconciled as default", "task", id, "site", holder.addr)
+			} else {
+				b.eo.log.Info("stale open contract reconciled by query", "task", id, "state", state)
 			}
+			b.mu.Lock()
+			b.forgetLocked(r)
+			b.mu.Unlock()
+			return Envelope{Type: TypeStatus, TaskID: id, SiteID: holder.primary.SiteID(),
+				ContractState: state, CompletedAt: st.CompletedAt, FinalPrice: st.FinalPrice}
 		}
 		return Envelope{Type: TypeStatus, TaskID: id, SiteID: terms.SiteID,
 			ContractState: ContractOpen, ExpectedCompletion: terms.ExpectedCompletion, ExpectedPrice: terms.ExpectedPrice}
@@ -697,10 +751,10 @@ func (b *BrokerServer) handleQuery(env Envelope, sc *serverConn) Envelope {
 		}
 		if st.State == ContractOpen {
 			b.mu.Lock()
-			b.owners[id] = sc
-			b.terms[id] = market.ServerBid{TaskID: id, SiteID: bs.primary.SiteID(),
+			adopted := b.awardedLocked(id)
+			adopted.owner, adopted.site = sc, bs
+			adopted.terms = market.ServerBid{TaskID: id, SiteID: bs.primary.SiteID(),
 				ExpectedCompletion: st.ExpectedCompletion, ExpectedPrice: st.ExpectedPrice}
-			b.placed[id] = bs
 			b.mu.Unlock()
 		}
 		return Envelope{Type: TypeStatus, TaskID: id, SiteID: bs.primary.SiteID(),

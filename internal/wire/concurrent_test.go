@@ -282,6 +282,7 @@ func TestServerStressRace(t *testing.T) {
 			if accepted == 0 {
 				t.Fatal("stress run accepted nothing")
 			}
+			checkBook(t, srv)
 			if srv.j != nil {
 				if syncs := srv.m.batchSyncs.Value(); syncs == 0 && cfg.Fsync == durable.FsyncAlways {
 					t.Error("no group-commit rounds recorded at fsync=always")

@@ -285,7 +285,6 @@ func (s *Server) openJournal() error {
 	recovered, defaulted := 0, 0
 	for _, id := range rb.open {
 		e := rb.book[id]
-		sh := s.shardFor(id)
 		bound, err := DecodeBound(e.rec.Bound)
 		if err != nil {
 			j.Close()
@@ -295,6 +294,17 @@ func (s *Server) openJournal() error {
 		t.State = task.Queued
 		t.Cohort = e.rec.Cohort
 		t.Client = e.rec.Client
+		// Rebook the contract queued (a crashed run restarts from zero) on
+		// its shard of record, in journal order — the arrival stamps the
+		// merged queue reassembles are assigned in replay sequence.
+		c := &contract{t: t, req: e.rec.Req, state: stateQueued,
+			terms: market.ServerBid{SiteID: s.cfg.SiteID, TaskID: id,
+				ExpectedCompletion: e.rec.ExpectedCompletion, ExpectedPrice: e.rec.ExpectedPrice}}
+		sh := s.shardFor(id)
+		sh.bookLocked(c)
+		if led := s.cfg.Ledger; led != nil {
+			led.Open(ledgerEntryFromRecord(e.rec))
+		}
 		reason := ""
 		switch {
 		case !t.Unbounded() && t.ExpiredAt(now):
@@ -302,51 +312,26 @@ func (s *Server) openJournal() error {
 		case e.running && regime == RegimeDefault:
 			reason = "run preempted by crash"
 		}
-		if reason != "" {
-			price := math.Min(0, t.YieldAtCompletion(now))
-			if err := s.appendRecord(contractRecord{Kind: recDefault, TaskID: id, T: now, Price: price, Reason: reason}); err != nil {
-				j.Close()
-				return err
-			}
-			sh.settled[id] = settlement{Defaulted: true, T: now, Price: price}
-			s.Defaulted++
-			s.Revenue += price
-			s.m.defaulted.Inc()
-			if price < 0 {
-				s.m.penalty.Add(-price)
-			}
-			s.m.cohortEvent(e.rec.Cohort, "defaulted")
-			if led := s.cfg.Ledger; led != nil {
-				led.Open(ledgerEntryFromRecord(e.rec))
-				led.Settle(uint64(id), obs.OutcomeDefaulted, now, price)
-			}
-			s.log.Info("contract defaulted in recovery", "task", id, "reason", reason, "price", price)
-			defaulted++
+		if reason == "" {
+			s.m.recovered.Inc()
+			recovered++
 			continue
 		}
-		// Honor the contract: requeue (a crashed run restarts from zero) on
-		// its shard of record, in journal order — the arrival stamps the
-		// merged queue reassembles are assigned in replay sequence.
-		sh.addPendingLocked(t)
-		sh.prices[id] = market.ServerBid{SiteID: s.cfg.SiteID, TaskID: id,
-			ExpectedCompletion: e.rec.ExpectedCompletion, ExpectedPrice: e.rec.ExpectedPrice}
-		if e.rec.Req != "" {
-			sh.reqs[id] = e.rec.Req
+		price := math.Min(0, t.YieldAtCompletion(now))
+		if err := s.appendRecord(contractRecord{Kind: recDefault, TaskID: id, T: now, Price: price, Reason: reason}); err != nil {
+			j.Close()
+			return err
 		}
-		s.m.recovered.Inc()
-		if led := s.cfg.Ledger; led != nil {
-			led.Open(ledgerEntryFromRecord(e.rec))
-		}
-		recovered++
+		sh.closeLocked(c, obs.OutcomeDefaulted, now, price, reason)
+		s.log.Info("contract defaulted in recovery", "task", id, "reason", reason, "price", price)
+		defaulted++
 	}
 	if err := s.j.Sync(); err != nil {
 		j.Close()
 		return err
 	}
 	s.Accepted += recovered
-	for _, sh := range s.shards {
-		sh.syncGaugesLocked()
-	}
+	s.syncGauges()
 	s.dispatch()
 
 	s.m.recoverySeconds.Set(time.Since(began).Seconds())

@@ -177,6 +177,7 @@ func TestCrashRecoveryRegimes(t *testing.T) {
 			if metricValue(t, reg, "site_recovery_records_replayed") < 3 {
 				t.Fatal("recovery replayed-records gauge not set")
 			}
+			checkBook(t, srv2)
 		})
 	}
 }

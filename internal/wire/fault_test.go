@@ -172,6 +172,7 @@ func TestClientVanishesMidContract(t *testing.T) {
 			if abandoned != n-1 {
 				t.Errorf("abandoned %d, want %d (queued tasks dropped)", abandoned, n-1)
 			}
+			checkBook(t, srv)
 			return
 		}
 		if time.Now().After(deadline) {

@@ -336,6 +336,9 @@ func TestFleetChaos(t *testing.T) {
 	if v := metricSum(t, brokerReg, "broker_circuit_transitions_total"); v < 3 {
 		t.Errorf("broker_circuit_transitions_total = %v, want >= 3", v)
 	}
+	for _, srv := range sites {
+		checkBook(t, srv)
+	}
 
 	if dir := os.Getenv("FLEET_METRICS_DIR"); dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -176,7 +176,8 @@ func (b *BrokerServer) forwardBid(peer string, env Envelope) Envelope {
 // case after a peer-down local bid), else to the owning peer.
 func (b *BrokerServer) routeAward(env Envelope, sc *serverConn) Envelope {
 	b.mu.Lock()
-	_, local := b.chosen[env.TaskID]
+	r := b.book[env.TaskID]
+	local := r != nil && r.state == brokerQuoted
 	b.mu.Unlock()
 	if local {
 		return b.handleAward(env, sc)
@@ -194,27 +195,20 @@ func (b *BrokerServer) routeAward(env Envelope, sc *serverConn) Envelope {
 func (b *BrokerServer) forwardAward(peer string, env Envelope, sc *serverConn) Envelope {
 	id := env.TaskID
 	b.mu.Lock()
-	b.owners[id] = sc
-	b.fwdOwner[id] = peer
+	r := b.awardedLocked(id)
+	r.owner, r.peer = sc, peer
 	b.mu.Unlock()
 	reply, err := b.forwardEnvelope(peer, env)
-	if err != nil {
+	if err != nil || reply.Type != TypeContract {
+		// A settlement that raced the reply has already closed the record;
+		// forgetLocked leaves a newer one alone.
 		b.mu.Lock()
-		delete(b.owners, id)
-		delete(b.fwdOwner, id)
+		b.forgetLocked(r)
 		b.mu.Unlock()
+	}
+	if err != nil {
 		b.eo.failed.Inc()
 		return Envelope{Type: TypeError, TaskID: id, Reason: err.Error()}
-	}
-	if reply.Type != TypeContract {
-		b.mu.Lock()
-		// The settlement may have raced the reply and consumed the owner
-		// entry; only clean up a registration that is still standing.
-		if b.fwdOwner[id] == peer {
-			delete(b.owners, id)
-			delete(b.fwdOwner, id)
-		}
-		b.mu.Unlock()
 	}
 	return reply
 }
@@ -225,8 +219,11 @@ func (b *BrokerServer) forwardAward(peer string, env Envelope, sc *serverConn) E
 // settlement owner on this broker, re-establishing the relay path.
 func (b *BrokerServer) queryPeers(env Envelope, sc *serverConn, standing Envelope) Envelope {
 	id := env.TaskID
+	first := ""
 	b.mu.Lock()
-	first := b.fwdOwner[id]
+	if r := b.book[id]; r != nil {
+		first = r.peer
+	}
 	b.mu.Unlock()
 	b.peerMu.Lock()
 	self := b.selfID
@@ -248,8 +245,8 @@ func (b *BrokerServer) queryPeers(env Envelope, sc *serverConn, standing Envelop
 		}
 		if reply.ContractState == ContractOpen {
 			b.mu.Lock()
-			b.owners[id] = sc
-			b.fwdOwner[id] = peer
+			r := b.awardedLocked(id)
+			r.owner, r.peer = sc, peer
 			b.mu.Unlock()
 		}
 		return reply

@@ -2,9 +2,7 @@ package wire
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,7 +135,9 @@ type Server struct {
 	// single-shard book would hold it.
 	seq atomic.Uint64
 	// nQueued/nRunning mirror the site-wide pending and running totals for
-	// gauges and trace events without touching every shard.
+	// gauges and trace events without touching every shard. They change only
+	// under the owning shard's lock, so with every shard lock held (the
+	// dispatch planner) they are exact.
 	nQueued  atomic.Int64
 	nRunning atomic.Int64
 	// dispatchMu serializes the global dispatch planner: dispatch locks all
@@ -168,33 +168,63 @@ type Server struct {
 	Shed      int // bids refused by the overload valve (not policy rejects)
 }
 
-// bookShard is one lock's worth of the contract book: the pending queue,
-// running set, contract terms, and completion timers for every task whose
-// ID hashes here, plus the shard's own published quote snapshot. settled
-// retains closed contracts for status queries and award idempotency; it is
-// bounded by the contract count, which suits a task service whose journal
-// is similarly append-only.
-type bookShard struct {
-	s  *Server
-	id int
+// contractState is where an open contract stands on the site's book. A
+// contract moves unsynced → queued → running, and any state can close.
+type contractState uint8
 
-	mu      sync.Mutex
-	pending []*task.Task
-	seqs    []uint64 // parallel to pending: global booking-order stamps
-	owners  map[task.ID]*serverConn
-	prices  map[task.ID]market.ServerBid
-	reqs    map[task.ID]string // lifecycle trace IDs of live contracts
-	running map[task.ID]*task.Task
-	timers  map[task.ID]*time.Timer
-	settled map[task.ID]settlement
-	// unsynced holds contracts booked but whose journal record is still
-	// inside a group-commit window: quotes see them, dispatch skips them,
-	// and duplicate awards or queries for them wait on syncCond until the
-	// barrier resolves into an ack or a refusal. An entry is removed
-	// exactly once — by the batch sweep (accepted) or by its own award's
-	// rollback (refused) — so the map doubles as the decision token when
-	// a failed round races a later successful one.
-	unsynced map[task.ID]unsyncedAward
+const (
+	// stateUnsynced: booked, but the contract's journal record is still
+	// inside a group-commit window. Quotes price it, dispatch skips it, and
+	// duplicate awards or queries for it wait on syncCond until the barrier
+	// resolves into an acceptance or a refusal.
+	stateUnsynced contractState = iota
+	// stateQueued: accepted and waiting for a processor.
+	stateQueued
+	// stateRunning: occupying a processor until its completion timer fires.
+	stateRunning
+)
+
+// outcomeRefused closes a contract whose award was refused after its
+// journal sync failed. It never counted as accepted, so unlike the ledger
+// outcomes it books nothing.
+const outcomeRefused = "refused"
+
+// contract is one open contract: everything the site holds about it, in
+// one record, whatever its state.
+type contract struct {
+	t     *task.Task
+	seq   uint64           // global booking order, for the merged queue
+	terms market.ServerBid // standing terms, answered to duplicate awards and queries
+	owner *serverConn      // settlement recipient; nil once its client left
+	req   string           // lifecycle trace ID
+	state contractState
+	idx   uint64      // journal index of the contract record, while unsynced
+	timer *time.Timer // completion timer, while running
+}
+
+// bookShard is one lock's worth of the contract book: the open contracts
+// whose ID hashes here, plus the shard's own published quote snapshot.
+type bookShard struct {
+	s *Server
+
+	mu sync.Mutex
+	// open holds every open contract on the shard. The three indexes below
+	// point into it by state: pending holds the unsynced and queued
+	// contracts in booking order, running the running ones, and unsynced
+	// the ones inside a group-commit window. A record leaves the unsynced
+	// index exactly once — accepted by the batch sweep, or closed (refused
+	// by its award's rollback, abandoned at shutdown) — so a failed round's
+	// rollback can tell from the record whether a later successful round
+	// already decided it.
+	open     map[task.ID]*contract
+	pending  []*contract
+	running  map[task.ID]*contract
+	unsynced map[task.ID]*contract
+	// settled retains closed contracts' settlements — compact, without
+	// their task or record — for status queries and award idempotency; it
+	// is bounded by the contract count, which suits a task service whose
+	// journal is similarly append-only.
+	settled  map[task.ID]settlement
 	syncCond *sync.Cond
 
 	// version counts this shard's scheduling-state changes. It is written
@@ -203,20 +233,6 @@ type bookShard struct {
 	// counter without taking the other shards' locks.
 	version atomic.Uint64
 	board   site.Board
-
-	mQueue     *obs.Gauge
-	mRunning   *obs.Gauge
-	mAccepted  *obs.Counter
-	mCompleted *obs.Counter
-}
-
-// unsyncedAward is a contract booked under the shard lock whose journal
-// record has not yet been covered by a group-commit round. It carries
-// what the batch sweep needs to finish the award's bookkeeping on the
-// awarding goroutine's behalf.
-type unsyncedAward struct {
-	idx uint64 // journal index of the contract record
-	t   *task.Task
 }
 
 // startDigest installs stop as the connection's digest-pusher cancel
@@ -294,21 +310,12 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	nshards := cfg.shardCount()
 	s.shards = make([]*bookShard, nshards)
 	for i := range s.shards {
-		lbl := strconv.Itoa(i)
 		sh := &bookShard{
-			s:          s,
-			id:         i,
-			owners:     make(map[task.ID]*serverConn),
-			prices:     make(map[task.ID]market.ServerBid),
-			reqs:       make(map[task.ID]string),
-			running:    make(map[task.ID]*task.Task),
-			timers:     make(map[task.ID]*time.Timer),
-			settled:    make(map[task.ID]settlement),
-			unsynced:   make(map[task.ID]unsyncedAward),
-			mQueue:     s.m.shardQueue.With(cfg.SiteID, lbl),
-			mRunning:   s.m.shardRun.With(cfg.SiteID, lbl),
-			mAccepted:  s.m.shardTasks.With(cfg.SiteID, lbl, "accepted"),
-			mCompleted: s.m.shardTasks.With(cfg.SiteID, lbl, "completed"),
+			s:        s,
+			open:     make(map[task.ID]*contract),
+			running:  make(map[task.ID]*contract),
+			unsynced: make(map[task.ID]*contract),
+			settled:  make(map[task.ID]settlement),
 		}
 		sh.syncCond = sync.NewCond(&sh.mu)
 		s.shards[i] = sh
@@ -351,16 +358,17 @@ func (sh *bookShard) snapshotLocked() *site.QuoteSnapshot {
 	}
 	if len(sh.pending) > 0 {
 		qs.Pending = make([]*task.Task, len(sh.pending))
-		for i, t := range sh.pending {
-			cp := *t
+		qs.Seqs = make([]uint64, len(sh.pending))
+		for i, c := range sh.pending {
+			cp := *c.t
 			qs.Pending[i] = &cp
+			qs.Seqs[i] = c.seq
 		}
-		qs.Seqs = append([]uint64(nil), sh.seqs...)
 	}
 	if len(sh.running) > 0 {
 		qs.Running = make([]site.RunningSlot, 0, len(sh.running))
-		for _, rt := range sh.running {
-			qs.Running = append(qs.Running, site.RunningSlot{Start: rt.Start, Runtime: rt.Runtime})
+		for _, c := range sh.running {
+			qs.Running = append(qs.Running, site.RunningSlot{Start: c.t.Start, Runtime: c.t.Runtime})
 		}
 	}
 	return qs
@@ -442,26 +450,24 @@ func (s *Server) Close() error {
 	return err
 }
 
-// abandonBook abandons every queued task and cancels every completion
-// timer that has not fired, at shutdown.
+// abandonBook abandons every queued contract and every running one whose
+// completion timer has not fired, at shutdown. A timer already firing
+// abandons its contract itself.
 func (s *Server) abandonBook() {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, t := range sh.pending {
-			sh.abandonLocked(t, s.now(), "server closed")
+		for len(sh.pending) > 0 {
+			sh.closeLocked(sh.pending[0], obs.OutcomeAbandoned, s.now(), 0, "server closed")
 		}
-		s.nQueued.Add(-int64(len(sh.pending)))
-		sh.pending = nil
-		sh.seqs = nil
-		for id, tm := range sh.timers {
-			if tm.Stop() {
+		for _, c := range sh.running {
+			if c.timer.Stop() {
 				// The callback will never run; release its drain slot.
 				s.timerWG.Done()
-				delete(sh.timers, id)
-				sh.abandonLocked(sh.running[id], s.now(), "server closed mid-run")
+				c.timer = nil
+				sh.closeLocked(c, obs.OutcomeAbandoned, s.now(), 0, "server closed mid-run")
 			}
 		}
-		sh.syncGaugesLocked()
+		s.syncGauges()
 		sh.mu.Unlock()
 	}
 }
@@ -471,72 +477,121 @@ func (s *Server) now() float64 {
 	return float64(time.Since(s.start)) / float64(s.cfg.TimeScale)
 }
 
-// syncGaugesLocked refreshes the shard and site-wide queue-depth and
-// running-task gauges after a scheduler state change. Callers must hold
-// sh.mu.
-func (sh *bookShard) syncGaugesLocked() {
-	s := sh.s
-	sh.mQueue.Set(float64(len(sh.pending)))
-	sh.mRunning.Set(float64(len(sh.running)))
-	s.m.queueDepth.Set(float64(s.nQueued.Load()))
-	s.m.runningTasks.Set(float64(s.nRunning.Load()))
+// syncGauges refreshes the site-wide queue-depth and running-task gauges
+// after a scheduler state change.
+func (s *Server) syncGauges() {
+	s.m.Depth(int(s.nQueued.Load()), int(s.nRunning.Load()))
 }
 
-// traceLocked emits a lifecycle event for a task this shard knows by ID,
-// resolving its request ID from the shard's live-contract table. Callers
-// must hold sh.mu.
-func (sh *bookShard) traceLocked(stage string, id task.ID, detail string) {
+// traceLocked emits lifecycle event e for the contract c, filling in the
+// contract's identity and request ID and the site-wide queue state.
+// Callers must hold sh.mu.
+func (sh *bookShard) traceLocked(c *contract, e obs.TraceEvent) {
 	s := sh.s
 	if s.cfg.Tracer == nil {
 		return
 	}
-	s.cfg.Tracer.Emit(obs.TraceEvent{
-		Stage:   stage,
-		Task:    uint64(id),
-		Req:     sh.reqs[id],
-		Site:    s.cfg.SiteID,
-		T:       s.now(),
-		Queued:  int(s.nQueued.Load()),
-		Running: int(s.nRunning.Load()),
-		Detail:  detail,
-	})
+	e.Task, e.Req, e.Site = uint64(c.t.ID), c.req, s.cfg.SiteID
+	e.Queued, e.Running = int(s.nQueued.Load()), int(s.nRunning.Load())
+	s.cfg.Tracer.Emit(e)
 }
 
-// addPendingLocked books t at the tail of the shard's queue with the next
-// global arrival stamp. Callers must hold sh.mu.
-func (sh *bookShard) addPendingLocked(t *task.Task) {
-	sh.pending = append(sh.pending, t)
-	sh.seqs = append(sh.seqs, sh.s.seq.Add(1))
+// bookLocked opens c, unsynced or queued, at the tail of the shard's queue
+// with the next global booking stamp. Callers must hold sh.mu.
+func (sh *bookShard) bookLocked(c *contract) {
+	c.seq = sh.s.seq.Add(1)
+	sh.open[c.t.ID] = c
+	sh.pending = append(sh.pending, c)
+	if c.state == stateUnsynced {
+		sh.unsynced[c.t.ID] = c
+	}
 	sh.s.nQueued.Add(1)
 }
 
-// removePendingLocked drops t (by identity) from the shard's queue.
-// Callers must hold sh.mu.
-func (sh *bookShard) removePendingLocked(t *task.Task) bool {
-	for i, p := range sh.pending {
-		if p == t {
-			sh.pending = append(sh.pending[:i], sh.pending[i+1:]...)
-			sh.seqs = append(sh.seqs[:i], sh.seqs[i+1:]...)
-			sh.s.nQueued.Add(-1)
-			return true
-		}
-	}
-	return false
+// unqueueLocked drops c from the shard's queue, found by its booking stamp
+// (the queue is in strictly increasing stamp order). Callers must hold
+// sh.mu.
+func (sh *bookShard) unqueueLocked(c *contract) {
+	i := sort.Search(len(sh.pending), func(i int) bool { return sh.pending[i].seq >= c.seq })
+	last := len(sh.pending) - 1
+	copy(sh.pending[i:], sh.pending[i+1:])
+	sh.pending[last] = nil // the backing array must not keep a closed record alive
+	sh.pending = sh.pending[:last]
+	sh.s.nQueued.Add(-1)
 }
 
-// abandonLocked books a contract dropped without a settlement — by
-// shutdown, or by its client vanishing before the task started: the
-// abandoned counters, the ledger close stamped at, and the lifecycle
-// trace. Callers must hold sh.mu.
-func (sh *bookShard) abandonLocked(t *task.Task, at float64, detail string) {
+// syncedLocked accepts c once its journal record is durable: the contract
+// leaves its group-commit window and becomes dispatchable. The caller
+// broadcasts syncCond. Callers must hold sh.mu.
+func (sh *bookShard) syncedLocked(c *contract) {
+	delete(sh.unsynced, c.t.ID)
+	c.state = stateQueued
+	sh.acceptLocked(c)
+}
+
+// closeLocked ends the open contract c at time at with the realized price:
+// settled by its run, defaulted in recovery, abandoned by shutdown or its
+// client, or refused after a failed sync. The record leaves the book and
+// its indexes; a settled or defaulted contract leaves its compact
+// settlement behind for status queries; and the outcome is booked once
+// into the stats, counters, ledger and trace. Callers must hold sh.mu and
+// do their own journaling.
+func (sh *bookShard) closeLocked(c *contract, outcome string, at, price float64, detail string) {
 	s := sh.s
-	s.mu.Lock()
-	s.Abandoned++
-	s.mu.Unlock()
-	s.m.abandoned.Inc()
-	s.m.cohortEvent(t.Cohort, "abandoned")
-	sh.ledgerCloseLocked(t.ID, obs.OutcomeAbandoned, at, 0)
-	sh.traceLocked(obs.StageAbandon, t.ID, detail)
+	t := c.t
+	delete(sh.open, t.ID)
+	switch c.state {
+	case stateUnsynced:
+		delete(sh.unsynced, t.ID)
+		sh.syncCond.Broadcast()
+		sh.unqueueLocked(c)
+	case stateQueued:
+		sh.unqueueLocked(c)
+	case stateRunning:
+		delete(sh.running, t.ID)
+		s.nRunning.Add(-1)
+	}
+	event := outcome
+	switch outcome {
+	case outcomeRefused:
+		t.State = task.Rejected
+		return
+	case obs.OutcomeAbandoned:
+		t.State = task.Rejected
+		s.mu.Lock()
+		s.Abandoned++
+		s.mu.Unlock()
+		s.m.abandoned.Inc()
+		sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageAbandon, T: s.now(), Detail: detail})
+	case obs.OutcomeSettled:
+		event = "completed"
+		sh.settled[t.ID] = settlement{T: at, Price: price}
+		s.mu.Lock()
+		s.Completed++
+		s.Revenue += price
+		s.mu.Unlock()
+		s.m.completed.Inc()
+		s.m.Settle(t.Cohort, price)
+		s.m.lateness.Observe(at - c.terms.ExpectedCompletion)
+		sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageComplete, T: at, Value: price, Dur: at - t.Start,
+			Cohort: t.Cohort, Client: t.Client})
+	case obs.OutcomeDefaulted:
+		sh.settled[t.ID] = settlement{Defaulted: true, T: at, Price: price}
+		s.mu.Lock()
+		s.Defaulted++
+		s.Revenue += price
+		s.mu.Unlock()
+		s.m.defaulted.Inc()
+		if price < 0 { // a default realizes only its penalty
+			s.m.Settle(t.Cohort, price)
+		}
+	}
+	s.m.Cohort(t.Cohort, event)
+	// A contract still inside a group-commit window was never ledger-opened
+	// (acceptance happens at the durability barrier).
+	if s.cfg.Ledger != nil && c.state != stateUnsynced {
+		s.cfg.Ledger.Settle(uint64(t.ID), outcome, at, price)
+	}
 }
 
 // handle answers one request on a client connection.
@@ -578,39 +633,29 @@ func (s *Server) dropOwner(sc *serverConn) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		removed := false
-		for id, owner := range sh.owners {
-			if owner != sc {
+		for id, c := range sh.open {
+			if c.owner != sc {
 				continue
 			}
-			delete(sh.owners, id)
-			delete(sh.reqs, id)
+			c.owner, c.req = nil, ""
 			// A running task survives owner loss: the contract is still open,
 			// so its standing terms stay on the book for Query re-adoption and
 			// the eventual settlement.
-			if _, isRunning := sh.running[id]; isRunning {
+			if c.state == stateRunning {
 				s.log.Info("task orphaned mid-run: client disconnected", "task", id)
 				continue
 			}
-			for _, p := range sh.pending {
-				if p.ID != id {
-					continue
-				}
-				sh.removePendingLocked(p)
-				p.State = task.Rejected
-				delete(sh.prices, id)
-				// One timestamp: a restart re-seeds the ledger from the record.
-				now := s.now()
-				sh.abandonLocked(p, now, "client disconnected")
-				if err := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "client disconnected"}); err != nil {
-					s.log.Warn("journal abandon record failed", "task", id, "err", err.Error())
-				}
-				s.log.Info("dropped queued task: client disconnected", "task", id)
-				removed = true
-				break
+			// One timestamp: a restart re-seeds the ledger from the record.
+			now := s.now()
+			sh.closeLocked(c, obs.OutcomeAbandoned, now, 0, "client disconnected")
+			if err := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "client disconnected"}); err != nil {
+				s.log.Warn("journal abandon record failed", "task", id, "err", err.Error())
 			}
+			s.log.Info("dropped queued task: client disconnected", "task", id)
+			removed = true
 		}
 		if removed {
-			sh.syncGaugesLocked()
+			s.syncGauges()
 			sh.bumpLocked()
 		}
 		sh.mu.Unlock()
@@ -650,10 +695,10 @@ func (s *Server) handleBid(env Envelope) Envelope {
 	if floor, reason := s.shed.evaluate(int(s.nQueued.Load()), q.ExpectedYield); reason != "" {
 		return s.shedReject(bid, reason, fmt.Sprintf("yield %.2f below floor %.2f at depth %d", q.ExpectedYield, floor, s.nQueued.Load()), floor)
 	}
-	s.observeSlack(q.Slack)
+	s.m.Slack(q.Slack)
 	if !s.cfg.Admission.Admit(q) {
 		s.m.rejected.Inc()
-		s.m.cohortEvent(bid.Cohort, "rejected")
+		s.m.Cohort(bid.Cohort, "rejected")
 		s.mu.Lock()
 		s.Rejected++
 		s.mu.Unlock()
@@ -669,15 +714,6 @@ func (s *Server) handleBid(env Envelope) Envelope {
 		SiteID:             s.cfg.SiteID,
 		ExpectedCompletion: q.ExpectedCompletion,
 		ExpectedPrice:      q.ExpectedYield,
-	}
-}
-
-// observeSlack records a quoted slack into the admission histogram.
-// Infinite slacks (zero-decay tasks) are skipped: they carry no
-// distributional information and would poison the histogram sum.
-func (s *Server) observeSlack(slack float64) {
-	if !math.IsInf(slack, 0) {
-		s.m.slack.Observe(slack)
 	}
 }
 
@@ -718,10 +754,10 @@ func (s *Server) traceBid(stage string, bid market.Bid, value float64, detail st
 // append happens under the lock (fixing the contract's place in the record
 // order), but the fsync wait happens outside it via SyncBarrier, so
 // concurrent awards share one group-commit fsync instead of serializing the
-// disk behind the lock. Until the barrier lands, the contract is booked but
-// marked unsynced: quotes price it, dispatch skips it, and duplicate awards
+// disk behind the lock. Until the barrier lands, the contract's record is in
+// state unsynced: quotes price it, dispatch skips it, and duplicate awards
 // or queries for it wait — so nothing observable (an ack, a running task,
-// an adopted owner) can outrace the disk, preserving the PR 4 guarantee.
+// an adopted owner) can outrace the disk.
 func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	bid, err := env.Bid()
 	if err != nil {
@@ -740,13 +776,13 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	// Idempotency is keyed off the contract book, which the journal rebuilds
 	// across restarts: a client retrying an award after a site crash gets
 	// its standing terms back, not a second contract.
-	if standing, dup := sh.prices[bid.TaskID]; dup {
-		sh.owners[bid.TaskID] = sc // the retrying connection owns the settlement now
+	if c := sh.open[bid.TaskID]; c != nil {
+		c.owner = sc // the retrying connection owns the settlement now
 		if bid.ReqID != "" {
-			sh.reqs[bid.TaskID] = bid.ReqID
+			c.req = bid.ReqID
 		}
 		sh.mu.Unlock()
-		return contractReply(standing)
+		return contractReply(c.terms)
 	}
 	// A retried award whose contract already settled (the run beat the
 	// retry) reports the closed contract instead of executing it twice.
@@ -768,13 +804,13 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 		sh.mu.Unlock()
 		return Envelope{Type: TypeError, Reason: qerr.Error()}
 	}
-	s.observeSlack(q.Slack)
+	s.m.Slack(q.Slack)
 	if !s.cfg.Admission.Admit(q) {
 		s.mu.Lock()
 		s.Rejected++
 		s.mu.Unlock()
 		s.m.rejected.Inc()
-		s.m.cohortEvent(bid.Cohort, "rejected")
+		s.m.Cohort(bid.Cohort, "rejected")
 		s.traceBid(obs.StageReject, bid, q.Slack, "mix changed since proposal")
 		sh.mu.Unlock()
 		return Envelope{Type: TypeReject, TaskID: bid.TaskID, SiteID: s.cfg.SiteID,
@@ -807,21 +843,17 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 		s.log.Warn("journal write failed, refusing award", "task", t.ID, "err", jerr.Error())
 		return Envelope{Type: TypeError, Reason: "site journal unavailable"}
 	}
-	sh.addPendingLocked(t)
-	sh.owners[t.ID] = sc
-	if bid.ReqID != "" {
-		sh.reqs[t.ID] = bid.ReqID
-	}
-	sh.prices[t.ID] = sb
+	c := &contract{t: t, terms: sb, owner: sc, req: bid.ReqID, state: stateQueued}
 	if journaled {
-		sh.unsynced[t.ID] = unsyncedAward{idx: idx, t: t}
+		c.state, c.idx = stateUnsynced, idx
 	}
-	sh.syncGaugesLocked()
-	sh.traceLocked(obs.StageContract, t.ID, "")
+	sh.bookLocked(c)
+	s.syncGauges()
+	sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageContract, T: s.now()})
 	sh.bumpLocked()
 	if !journaled {
 		// Memory-only site: nothing to wait for, finish the award inline.
-		sh.acceptLocked(t)
+		sh.acceptLocked(c)
 		sh.mu.Unlock()
 		s.dispatch()
 		return contractReply(sb)
@@ -831,7 +863,7 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	// Wait for durability outside the lock. Concurrent awards waiting here
 	// share one fsync round; the ack below still never outruns the disk.
 	if serr := s.j.SyncBarrier(idx); serr != nil {
-		if s.rollbackUnsyncedAward(t, idx, serr) {
+		if s.rollbackUnsyncedAward(c, serr) {
 			return Envelope{Type: TypeError, Reason: "site journal unavailable"}
 		}
 		// The record reached the disk through a later round after the
@@ -856,21 +888,19 @@ func contractReply(sb market.ServerBid) Envelope {
 // acceptLocked books a contract as accepted once nothing can refuse it any
 // more — at the award itself on a memory-only site, at the durability
 // barrier otherwise: the accepted counters, the ledger entry with the
-// standing terms, and the acceptance log line. Callers must hold sh.mu,
-// after the award's bookkeeping (prices, reqs) is in place.
-func (sh *bookShard) acceptLocked(t *task.Task) {
+// standing terms, and the acceptance log line. Callers must hold sh.mu.
+func (sh *bookShard) acceptLocked(c *contract) {
 	s := sh.s
-	sb := sh.prices[t.ID]
+	t, sb := c.t, c.terms
 	s.mu.Lock()
 	s.Accepted++
 	s.mu.Unlock()
 	s.m.accepted.Inc()
-	sh.mAccepted.Inc()
-	s.m.cohortEvent(t.Cohort, "accepted")
+	s.m.Cohort(t.Cohort, "accepted")
 	if s.cfg.Ledger != nil {
 		s.cfg.Ledger.Open(obs.LedgerEntry{
 			Task:               uint64(t.ID),
-			Req:                sh.reqs[t.ID],
+			Req:                c.req,
 			Cohort:             t.Cohort,
 			Client:             t.Client,
 			BidValue:           t.Value,
@@ -885,10 +915,7 @@ func (sh *bookShard) acceptLocked(t *task.Task) {
 // waitSyncedLocked blocks while id's contract sits inside a group-commit
 // window. Callers must hold sh.mu.
 func (sh *bookShard) waitSyncedLocked(id task.ID) {
-	for {
-		if _, open := sh.unsynced[id]; !open {
-			return
-		}
+	for sh.unsynced[id] != nil {
 		sh.syncCond.Wait()
 	}
 }
@@ -908,12 +935,11 @@ func (s *Server) finishDurableAwards(idx uint64) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		shardFinished := false
-		for id, u := range sh.unsynced {
-			if u.idx >= durableIdx {
+		for _, c := range sh.unsynced {
+			if c.idx >= durableIdx {
 				continue
 			}
-			delete(sh.unsynced, id)
-			sh.acceptLocked(u.t)
+			sh.syncedLocked(c)
 			shardFinished = true
 		}
 		if shardFinished {
@@ -933,49 +959,45 @@ func (s *Server) finishDurableAwards(idx uint64) {
 	}
 }
 
-// rollbackUnsyncedAward unwinds a booked-but-unsynced contract after its
-// group-commit barrier failed, returning true when the award was refused.
-// The unsynced entry is the decision token: if a batch sweep already
-// removed it, a later successful round put the record on stable storage
-// and the contract was accepted — rollback reports false and the award is
-// acked normally. The same applies if the entry is still present but the
-// durability frontier has moved past the record: the failed round's
-// uncertainty is resolved in the contract's favor, so this goroutine
-// finishes the acceptance itself. Only a record that is genuinely not
-// durable is refused, and the compensating abandon record keeps the
-// journal foldable if the contract's bytes did reach the disk (the failed
-// sync leaves that unknowable).
-func (s *Server) rollbackUnsyncedAward(t *task.Task, idx uint64, serr error) bool {
-	sh := s.shardFor(t.ID)
+// rollbackUnsyncedAward unwinds an unsynced contract after its group-commit
+// barrier failed, returning true when the award was refused. If a batch
+// sweep already moved the record on, a later successful round put it on
+// stable storage and the contract was accepted — rollback reports false
+// and the award is acked normally. The same applies if the durability
+// frontier has moved past the record: the failed round's uncertainty is
+// resolved in the contract's favor, so this goroutine finishes the
+// acceptance itself. Only a record that is genuinely not durable is
+// refused, and the compensating abandon record keeps the journal foldable
+// if the contract's bytes did reach the disk (the failed sync leaves that
+// unknowable). A record shutdown closed while it was unsynced has left the
+// book already; its award is decided the same way.
+func (s *Server) rollbackUnsyncedAward(c *contract, serr error) bool {
+	id := c.t.ID
+	sh := s.shardFor(id)
 	sh.mu.Lock()
-	if _, present := sh.unsynced[t.ID]; !present {
+	booked := sh.unsynced[id] == c
+	if c.state != stateUnsynced || s.j.Durable() > c.idx {
+		if booked {
+			sh.syncedLocked(c)
+			sh.syncCond.Broadcast()
+		}
 		sh.mu.Unlock()
-		return false // swept as accepted by a later successful round
-	}
-	if s.j.Durable() > idx {
-		delete(sh.unsynced, t.ID)
-		sh.syncCond.Broadcast()
-		sh.acceptLocked(t)
-		sh.mu.Unlock()
-		s.dispatch()
+		if booked {
+			s.dispatch()
+		}
 		return false
 	}
-	delete(sh.unsynced, t.ID)
-	sh.syncCond.Broadcast()
-	if _, open := sh.prices[t.ID]; open {
-		sh.removePendingLocked(t)
-		delete(sh.owners, t.ID)
-		delete(sh.prices, t.ID)
-		delete(sh.reqs, t.ID)
-		t.State = task.Rejected
-		if aerr := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: t.ID, T: s.now(), Reason: "award refused: journal sync failed"}); aerr != nil {
-			s.log.Warn("journal abandon record failed", "task", t.ID, "err", aerr.Error())
-		}
-		sh.syncGaugesLocked()
+	now := s.now()
+	if booked {
+		sh.closeLocked(c, outcomeRefused, now, 0, "")
+		s.syncGauges()
 		sh.bumpLocked()
 	}
+	if aerr := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "award refused: journal sync failed"}); aerr != nil {
+		s.log.Warn("journal abandon record failed", "task", id, "err", aerr.Error())
+	}
 	sh.mu.Unlock()
-	s.log.Warn("journal sync failed, refusing award", "task", t.ID, "err", serr.Error())
+	s.log.Warn("journal sync failed, refusing award", "task", id, "err", serr.Error())
 	return true
 }
 
@@ -990,21 +1012,6 @@ func (s *Server) bidTask(bid market.Bid) *task.Task {
 	return t
 }
 
-// ledgerCloseLocked settles a ledger entry. Contracts still inside a
-// group-commit window were never ledger-opened (acceptance happens at the
-// durability barrier), so they are skipped rather than booked as unknown
-// settlements. Callers must hold sh.mu.
-func (sh *bookShard) ledgerCloseLocked(id task.ID, outcome string, at, realized float64) {
-	s := sh.s
-	if s.cfg.Ledger == nil {
-		return
-	}
-	if _, open := sh.unsynced[id]; open {
-		return
-	}
-	s.cfg.Ledger.Settle(uint64(id), outcome, at, realized)
-}
-
 // quoteLocked evaluates a bid with the shard lock held: the shard's own
 // part is rebuilt from its live state, the other shards contribute their
 // latest published snapshots, and the merge is priced exactly as the
@@ -1017,7 +1024,7 @@ func (sh *bookShard) quoteLocked(bid market.Bid) (admission.Quote, error) {
 	// ranks the book afresh (one ranking plus an insertion when the policy
 	// has a key, a full build otherwise), counted as a cache miss so the
 	// site_quote_reuse series is comparable with the simulator's.
-	s.m.quoteMisses.Inc()
+	s.m.QuoteReuse(false)
 	probe := s.bidTask(bid)
 	if len(s.shards) == 1 {
 		return sh.snapshotLocked().Quote(s.now(), probe)
@@ -1058,70 +1065,53 @@ func (s *Server) dispatchAllLocked() {
 		return
 	}
 	now := s.now()
-	running := 0
-	npend := 0
-	for _, sh := range s.shards {
-		running += len(sh.running)
-		npend += len(sh.pending)
-	}
-	free := s.cfg.Processors - running
+	free := s.cfg.Processors - int(s.nRunning.Load())
 	// Contracts still inside a group-commit window are quotable but not
 	// startable: if their sync fails the award is rolled back, and rollback
 	// must only ever touch the queue, never a running timer.
-	eligible := make([]*task.Task, 0, npend)
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		for _, t := range sh.pending {
-			if _, open := sh.unsynced[t.ID]; !open {
-				eligible = append(eligible, t)
+	queued := make([]*contract, 0, s.nQueued.Load())
+	for _, sh := range s.shards {
+		for _, c := range sh.pending {
+			if c.state == stateQueued {
+				queued = append(queued, c)
 			}
 		}
-	} else {
+	}
+	if len(s.shards) > 1 {
 		// Merge the shards' queues back into global arrival order.
-		type seqTask struct {
-			seq uint64
-			t   *task.Task
-		}
-		all := make([]seqTask, 0, npend)
-		for _, sh := range s.shards {
-			for i, t := range sh.pending {
-				if _, open := sh.unsynced[t.ID]; open {
-					continue
-				}
-				all = append(all, seqTask{seq: sh.seqs[i], t: t})
-			}
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-		for _, st := range all {
-			eligible = append(eligible, st.t)
-		}
+		sort.Slice(queued, func(i, j int) bool { return queued[i].seq < queued[j].seq })
+	}
+	eligible := make([]*task.Task, len(queued))
+	for i, c := range queued {
+		eligible[i] = c.t
 	}
 	starts, ranks := core.PlanStarts(s.cfg.Policy, now, free, eligible)
 	if ranks > 0 {
-		s.m.rankOps.Add(float64(ranks))
+		s.m.RankOps(ranks)
 	}
 	touched := make(map[*bookShard]struct{}, len(starts))
 	for _, t := range starts {
 		sh := s.shardFor(t.ID)
-		sh.removePendingLocked(t)
+		c := sh.open[t.ID]
+		sh.unqueueLocked(c)
+		c.state = stateRunning
 		t.State = task.Running
 		t.Start = now
-		sh.running[t.ID] = t
+		sh.running[t.ID] = c
 		s.nRunning.Add(1)
 		if err := s.appendRecord(contractRecord{Kind: recStart, TaskID: t.ID, T: now}); err != nil {
 			// Non-fatal: a lost start record only weakens the crash regime
 			// (the task recovers as queued instead of crash-preempted).
 			s.log.Warn("journal start record failed", "task", t.ID, "err", err.Error())
 		}
-		sh.syncGaugesLocked()
-		sh.traceLocked(obs.StageStart, t.ID, "")
+		s.syncGauges()
+		sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageStart, T: s.now()})
 		s.log.Info("running task", "task", t.ID, "runtime", t.Runtime)
 		dur := time.Duration(t.Runtime * float64(s.cfg.TimeScale))
 		s.timerWG.Add(1)
-		tt := t
-		sh.timers[t.ID] = time.AfterFunc(dur, func() {
+		c.timer = time.AfterFunc(dur, func() {
 			defer s.timerWG.Done()
-			s.complete(tt)
+			s.complete(c)
 		})
 		touched[sh] = struct{}{}
 	}
@@ -1130,20 +1120,17 @@ func (s *Server) dispatchAllLocked() {
 	}
 }
 
-func (s *Server) complete(t *task.Task) {
+// complete settles a running contract when its completion timer fires.
+func (s *Server) complete(c *contract) {
+	t := c.t
 	sh := s.shardFor(t.ID)
 	sh.mu.Lock()
-	delete(sh.timers, t.ID)
+	c.timer = nil
 	if s.ep.isClosed() {
 		// Shutdown racing the timer: abandon rather than settle, so no
 		// settlement is sent after Close returns.
-		delete(sh.running, t.ID)
-		s.nRunning.Add(-1)
-		delete(sh.owners, t.ID)
-		delete(sh.prices, t.ID)
-		sh.abandonLocked(t, s.now(), "server closed mid-run")
-		delete(sh.reqs, t.ID)
-		sh.syncGaugesLocked()
+		sh.closeLocked(c, obs.OutcomeAbandoned, s.now(), 0, "server closed mid-run")
+		s.syncGauges()
 		sh.mu.Unlock()
 		return
 	}
@@ -1151,39 +1138,13 @@ func (s *Server) complete(t *task.Task) {
 	t.State = task.Completed
 	t.Completion = now
 	t.Yield = t.YieldAtCompletion(now)
-	delete(sh.running, t.ID)
-	s.nRunning.Add(-1)
 	settleIdx, settleJournaled, err := s.appendRecordIdx(contractRecord{Kind: recSettle, TaskID: t.ID, T: now, Price: t.Yield})
 	if err != nil {
 		s.log.Warn("journal settle record failed", "task", t.ID, "err", err.Error())
 	}
-	sh.settled[t.ID] = settlement{T: now, Price: t.Yield}
-	s.mu.Lock()
-	s.Completed++
-	s.Revenue += t.Yield
-	s.mu.Unlock()
-	s.m.completed.Inc()
-	sh.mCompleted.Inc()
-	s.m.cohortEvent(t.Cohort, "completed")
-	s.m.observeYield(t.Cohort, t.Yield)
-	sh.ledgerCloseLocked(t.ID, obs.OutcomeSettled, now, t.Yield)
-	if standing, ok := sh.prices[t.ID]; ok {
-		s.m.lateness.Observe(now - standing.ExpectedCompletion)
-	}
-	owner := sh.owners[t.ID]
-	req := sh.reqs[t.ID]
-	delete(sh.owners, t.ID)
-	delete(sh.prices, t.ID)
-	delete(sh.reqs, t.ID)
-	if s.cfg.Tracer != nil {
-		s.cfg.Tracer.Emit(obs.TraceEvent{
-			Stage: obs.StageComplete, Task: uint64(t.ID), Req: req, Site: s.cfg.SiteID,
-			T: now, Value: t.Yield, Dur: now - t.Start,
-			Queued: int(s.nQueued.Load()), Running: int(s.nRunning.Load()),
-			Cohort: t.Cohort, Client: t.Client,
-		})
-	}
-	sh.syncGaugesLocked()
+	owner, req := c.owner, c.req
+	sh.closeLocked(c, obs.OutcomeSettled, now, t.Yield, "")
+	s.syncGauges()
 	sh.bumpLocked()
 	// A settle record under FsyncAlways must be durable before the
 	// settlement push, as it was when Append synced inline; it rides the
@@ -1240,16 +1201,16 @@ func (s *Server) handleQuery(env Envelope, sc *serverConn) Envelope {
 	if st, ok := sh.settled[id]; ok {
 		return s.statusEnvelope(id, st)
 	}
-	if sb, open := sh.prices[id]; open {
-		sh.owners[id] = sc
+	if c := sh.open[id]; c != nil {
+		c.owner = sc
 		if env.ReqID != "" {
-			sh.reqs[id] = env.ReqID
+			c.req = env.ReqID
 		}
 		return Envelope{
 			Type: TypeStatus, TaskID: id, SiteID: s.cfg.SiteID,
 			ContractState:      ContractOpen,
-			ExpectedCompletion: sb.ExpectedCompletion,
-			ExpectedPrice:      sb.ExpectedPrice,
+			ExpectedCompletion: c.terms.ExpectedCompletion,
+			ExpectedPrice:      c.terms.ExpectedPrice,
 		}
 	}
 	return Envelope{Type: TypeStatus, TaskID: id, SiteID: s.cfg.SiteID, ContractState: ContractUnknown}
@@ -1265,35 +1226,4 @@ func (s *Server) statusEnvelope(id task.ID, st settlement) Envelope {
 		Type: TypeStatus, TaskID: id, SiteID: s.cfg.SiteID,
 		ContractState: state, CompletedAt: st.T, FinalPrice: st.Price,
 	}
-}
-
-// bookCounts is an aggregated census of the sharded contract book; tests
-// and diagnostics use it instead of reaching into per-shard maps.
-type bookCounts struct {
-	pending, running, timers, owners, prices, unsynced, settled int
-}
-
-func (s *Server) countBook() bookCounts {
-	var b bookCounts
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		b.pending += len(sh.pending)
-		b.running += len(sh.running)
-		b.timers += len(sh.timers)
-		b.owners += len(sh.owners)
-		b.prices += len(sh.prices)
-		b.unsynced += len(sh.unsynced)
-		b.settled += len(sh.settled)
-		sh.mu.Unlock()
-	}
-	return b
-}
-
-// taskRunning reports whether id currently occupies a processor.
-func (s *Server) taskRunning(id task.ID) bool {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.running[id]
-	return ok
 }

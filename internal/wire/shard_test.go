@@ -2,7 +2,6 @@ package wire
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/market"
-	"repro/internal/obs"
 	"repro/internal/task"
 )
 
@@ -97,6 +95,7 @@ func shardScript(t *testing.T, shards int, codec string) (decisions []string, ac
 	if book.prices != 0 || book.unsynced != 0 {
 		t.Fatalf("book not drained: %d open, %d unsynced", book.prices, book.unsynced)
 	}
+	checkBook(t, srv)
 	return decisions, accepted, rejected, completed
 }
 
@@ -186,43 +185,5 @@ func TestServerShardedCrashRecovery(t *testing.T) {
 			}
 		}
 		srv.Close()
-	}
-}
-
-// TestServerShardMetrics checks the per-shard instrument wiring: shard
-// accept counters must sum to the site-wide accepted count, and tasks
-// must land on the shard their ID maps to.
-func TestServerShardMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv := startServer(t, ServerConfig{Processors: 2, Shards: 4, Metrics: reg})
-	c := dialServerCodec(t, srv, CodecBinary)
-	var settleWG sync.WaitGroup
-	c.SetOnSettled(func(Envelope) { settleWG.Done() })
-	const n = 8
-	for i := 1; i <= n; i++ {
-		bid := testBid(task.ID(i), 5)
-		sb, ok, err := c.Propose(bid)
-		if err != nil || !ok {
-			t.Fatalf("propose %d: %v %v", i, ok, err)
-		}
-		settleWG.Add(1)
-		if _, ok, err := c.Award(bid, sb); err != nil || !ok {
-			t.Fatalf("award %d: %v %v", i, ok, err)
-		}
-	}
-	settleWG.Wait()
-
-	var accepted, completed float64
-	for i := 0; i < 4; i++ {
-		lbl := strconv.Itoa(i)
-		a := srv.m.shardTasks.With("test-site", lbl, "accepted").Value()
-		if a == 0 {
-			t.Errorf("shard %d accepted no tasks; IDs 1..%d should cover every shard", i, n)
-		}
-		accepted += a
-		completed += srv.m.shardTasks.With("test-site", lbl, "completed").Value()
-	}
-	if accepted != n || completed != n {
-		t.Fatalf("shard counters sum to %v accepted / %v completed, want %d / %d", accepted, completed, n, n)
 	}
 }

@@ -132,12 +132,12 @@ func (s *Server) shedFloorNow() float64 {
 // the reply carries the marginal-yield floor in force as ExpectedPrice,
 // so a refused bidder learns what the site's capacity is currently worth.
 func (s *Server) shedReject(bid market.Bid, reason, detail string, floor float64) Envelope {
-	s.m.shedEvent(reason)
+	s.m.shed.With(s.cfg.SiteID, reason).Inc()
 	s.m.shedFloor.Set(floor)
 	s.mu.Lock()
 	s.Shed++
 	s.mu.Unlock()
-	s.m.cohortEvent(bid.Cohort, "shed")
+	s.m.Cohort(bid.Cohort, "shed")
 	s.traceBid(obs.StageReject, bid, floor, shedReasonPrefix+detail)
 	return Envelope{
 		Type: TypeReject, TaskID: bid.TaskID, SiteID: s.cfg.SiteID,
