@@ -92,19 +92,22 @@ func TestMetricFamiliesDocumented(t *testing.T) {
 	}
 }
 
+// lintedDocs are the documents whose quoted paths and identifiers must
+// exist in the tree.
+var lintedDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+
 // docPathRe matches a repo-root path under cmd/ or results/ wherever the
 // docs quote one: `cmd/brokerd`, `go run ./cmd/siteserver -addr ...`,
 // `results/fig3.csv`. A leading path component (benchmark/results/...)
 // is somebody else's directory and does not match.
 var docPathRe = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/.-])(?:\./)?((?:cmd|results)/[A-Za-z0-9_*][A-Za-z0-9_.*-]*)`)
 
-// TestDocPathsExist fails if README.md or DESIGN.md quotes a command
-// directory or a results file that is not on disk (globs must match at
-// least one file). A deleted binary or result file must take its
-// quick-start with it.
+// TestDocPathsExist fails if one of lintedDocs quotes a command directory
+// or a results file that is not on disk (globs must match at least one
+// file). A deleted binary or result file must take its quick-start with it.
 func TestDocPathsExist(t *testing.T) {
 	checked := 0
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range lintedDocs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -175,14 +178,14 @@ func declaredNames(t *testing.T, dir string) map[string]bool {
 	return names
 }
 
-// TestDocIdentifiersExist fails if README.md or DESIGN.md quotes a
-// `pkg.Name` whose pkg is a directory under internal/ but whose Name that
+// TestDocIdentifiersExist fails if one of lintedDocs quotes a `pkg.Name`
+// whose pkg is a directory under internal/ but whose Name that
 // package no longer declares. A deleted API must take its paragraph with
 // it.
 func TestDocIdentifiersExist(t *testing.T) {
 	declared := map[string]map[string]bool{} // package -> names, parsed on first use
 	checked := 0
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range lintedDocs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -36,9 +36,9 @@ func run(pricer market.Pricer, strategy market.BidStrategy) (placed, unaffordabl
 			Admission: admission.SlackThreshold{Threshold: 0}, DiscountRate: 0.01},
 	}
 	ex := market.NewExchange(market.BestYield{}, cfgs)
-	ex.Broker.SetPricer(pricer)
+	ex.Pricer = pricer
 
-	client := market.NewClient(ex.Engine, ex.Broker, market.ClientConfig{
+	client := market.NewClient(ex, market.ClientConfig{
 		Name:     "lab",
 		Budget:   4000, // tight: pricing efficiency decides how far it goes
 		Interval: 1000,

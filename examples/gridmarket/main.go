@@ -10,6 +10,8 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/market"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/site"
 	"repro/internal/workload"
 )
@@ -37,7 +39,15 @@ func main() {
 			DiscountRate: 0.01,
 		},
 	}
-	ex := market.NewExchange(market.BestYield{}, cfgs)
+	// Each site books its contracts into its own ledger, the same
+	// obs.Ledger the live site server keeps.
+	ex := &market.Exchange{Engine: sim.New()}
+	ledgers := make([]*obs.Ledger, len(cfgs))
+	for i, cfg := range cfgs {
+		ledgers[i] = obs.NewLedger(obs.LedgerConfig{})
+		ex.Sites = append(ex.Sites, site.New(ex.Engine, fmt.Sprintf("site-%d", i), cfg,
+			site.WithRecorder(site.NewLedgerRecorder(ledgers[i]))))
+	}
 
 	// An overloaded stream: 600 jobs at 1.6x the combined capacity of the
 	// three sites, so admission posture matters.
@@ -57,17 +67,23 @@ func main() {
 	ex.Run()
 
 	fmt.Printf("broker: %d negotiations, %d placed, %d declined by every site\n\n",
-		ex.Broker.Negotiated, ex.Broker.Placed, ex.Broker.Declined)
+		ex.Negotiated, ex.Placed, ex.Declined)
 
 	for i, s := range ex.Sites {
 		m := s.Metrics()
-		led := ex.Services[i].Ledger()
+		led := ledgers[i].Snapshot()
+		late := 0
+		for _, e := range led.Entries {
+			if e.Lateness > 0 {
+				late++
+			}
+		}
 		fmt.Printf("%s  procs=%d  policy=%s  admission=%s\n",
 			s.ID, s.Processors(), s.Config().Policy.Name(), s.Admission().Name())
 		fmt.Printf("    awarded %d tasks, completed %d, yield %.0f (rate %.3f)\n",
 			m.Accepted, m.Completed, m.TotalYield, m.YieldRate())
 		fmt.Printf("    contracts settled %d, revenue %.0f, late %d, penalties %.0f\n\n",
-			led.Settled, led.Revenue, led.Violations, led.Penalties)
+			led.Totals.Settled, led.Totals.RealizedYield, late, led.Totals.Penalty)
 	}
 
 	fmt.Println("The risk-averse site earns the highest yield per processor by declining")

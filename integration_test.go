@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/market"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/site"
 	"repro/internal/task"
 	"repro/internal/wire"
@@ -32,24 +35,33 @@ func TestEndToEndSimulatedEconomy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ex := market.NewExchange(market.BestYield{}, []site.Config{
+	// Each site books its contracts into its own obs.Ledger, as the live
+	// site server does.
+	ex := &market.Exchange{Engine: sim.New()}
+	var ledgers []*obs.Ledger
+	for i, cfg := range []site.Config{
 		{Processors: 6, Policy: core.FirstReward{Alpha: 0.2, DiscountRate: 0.01},
 			Admission: admission.SlackThreshold{Threshold: 100}, DiscountRate: 0.01},
 		{Processors: 4, Policy: core.FirstReward{Alpha: 0.4, DiscountRate: 0.01},
 			Admission: admission.SlackThreshold{Threshold: 0}, DiscountRate: 0.01},
 		{Processors: 2, Policy: core.FirstPrice{}, Admission: admission.AcceptAll{}},
-	})
+	} {
+		led := obs.NewLedger(obs.LedgerConfig{})
+		ledgers = append(ledgers, led)
+		ex.Sites = append(ex.Sites, site.New(ex.Engine, fmt.Sprintf("site-%d", i), cfg,
+			site.WithRecorder(site.NewLedgerRecorder(led))))
+	}
 	tasks := tr.Clone()
 	ex.ScheduleArrivals(tasks)
 	ex.Run()
 
-	if ex.Broker.Negotiated != len(tasks) {
-		t.Fatalf("negotiated %d of %d", ex.Broker.Negotiated, len(tasks))
+	if ex.Negotiated != len(tasks) {
+		t.Fatalf("negotiated %d of %d", ex.Negotiated, len(tasks))
 	}
-	if ex.Broker.Placed+ex.Broker.Declined != ex.Broker.Negotiated {
-		t.Fatalf("broker accounting: %d+%d != %d", ex.Broker.Placed, ex.Broker.Declined, ex.Broker.Negotiated)
+	if ex.Placed+ex.Declined != ex.Negotiated {
+		t.Fatalf("broker accounting: %d+%d != %d", ex.Placed, ex.Declined, ex.Negotiated)
 	}
-	if ex.Broker.Placed == 0 {
+	if ex.Placed == 0 {
 		t.Fatal("nothing placed")
 	}
 
@@ -61,14 +73,14 @@ func TestEndToEndSimulatedEconomy(t *testing.T) {
 		m := s.Metrics()
 		siteYield += m.TotalYield
 		completed += m.Completed
-		led := ex.Services[i].Ledger()
-		contractRevenue += led.Revenue
-		if led.Open != 0 {
-			t.Fatalf("site %d: %d contracts still open", i, led.Open)
+		tot := ledgers[i].Snapshot().Totals
+		contractRevenue += tot.RealizedYield
+		if tot.Open != 0 {
+			t.Fatalf("site %d: %d contracts still open", i, tot.Open)
 		}
 	}
-	if completed != ex.Broker.Placed {
-		t.Fatalf("completed %d != placed %d", completed, ex.Broker.Placed)
+	if completed != ex.Placed {
+		t.Fatalf("completed %d != placed %d", completed, ex.Placed)
 	}
 	if math.Abs(siteYield-contractRevenue) > 1e-6 {
 		t.Fatalf("site yield %v != contract revenue %v", siteYield, contractRevenue)

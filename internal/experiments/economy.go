@@ -87,8 +87,8 @@ func RunEconomy(cfg EconomyConfig) *Figure {
 				Admission:    admission.AcceptAll{},
 				DiscountRate: 0.01,
 			}})
-			ex.Broker.SetPricer(pricer)
-			client := market.NewClient(ex.Engine, ex.Broker, market.ClientConfig{
+			ex.Pricer = pricer
+			client := market.NewClient(ex, market.ClientConfig{
 				Name: "group", Budget: budget, Interval: interval,
 			})
 			client.ScheduleArrivals(tr.Clone())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -62,15 +61,18 @@ type ClientConfig struct {
 	Strategy BidStrategy
 }
 
-// Client is a budget-constrained buyer: it negotiates tasks through a
-// broker, committing budget for each contract at its negotiated price, and
+// Client is a budget-constrained buyer: it negotiates tasks through an
+// exchange, committing budget for each contract at its negotiated price, and
 // replenishes its budget every interval. Tasks whose negotiated price
 // exceeds the remaining budget are withheld (counted as unaffordable)
 // rather than submitted.
 type Client struct {
-	cfg    ClientConfig
-	engine *sim.Engine
-	broker *Broker
+	cfg ClientConfig
+	ex  *Exchange
+
+	// shadows maps each shaped task a site runs to the caller's task it
+	// stands for; nil for a truthful client, which submits its own tasks.
+	shadows map[*task.Task]*task.Task
 
 	remaining float64
 	interval  int // index of the interval `remaining` belongs to
@@ -84,17 +86,26 @@ type Client struct {
 	Contracts    []*Contract
 }
 
-// NewClient attaches a client to an engine and broker. Budget
-// replenishment is lazy — evaluated against the clock at each submission —
-// so an idle client never keeps the simulation alive.
-func NewClient(engine *sim.Engine, broker *Broker, cfg ClientConfig) *Client {
+// NewClient attaches a client to an exchange. Budget replenishment is
+// lazy — evaluated against the clock at each submission — so an idle
+// client never keeps the simulation alive. A client with a non-truthful
+// strategy observes the exchange's sites, so build it before the
+// simulation starts.
+func NewClient(ex *Exchange, cfg ClientConfig) *Client {
 	if cfg.Strategy == nil {
 		cfg.Strategy = Truthful{}
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = math.Inf(1)
 	}
-	return &Client{cfg: cfg, engine: engine, broker: broker, remaining: cfg.Budget}
+	c := &Client{cfg: cfg, ex: ex, remaining: cfg.Budget}
+	if _, truthful := cfg.Strategy.(Truthful); !truthful {
+		c.shadows = make(map[*task.Task]*task.Task)
+		for _, s := range ex.Sites {
+			s.ObserveCompletions(c.mirror)
+		}
+	}
+	return c
 }
 
 // refresh rolls the budget forward to the interval containing now.
@@ -102,22 +113,17 @@ func (c *Client) refresh() {
 	if math.IsInf(c.cfg.Interval, 1) {
 		return
 	}
-	idx := int(c.engine.Now() / c.cfg.Interval)
+	idx := int(c.ex.Engine.Now() / c.cfg.Interval)
 	if idx != c.interval {
 		c.interval = idx
 		c.remaining = c.cfg.Budget
 	}
 }
 
-// Remaining reports the client's unspent budget in the current interval.
-func (c *Client) Remaining() float64 {
-	c.refresh()
-	return c.remaining
-}
-
 // SubmitTask negotiates one task placement now, under the client's
-// strategy and budget. It returns the contract if the task was placed.
-func (c *Client) SubmitTask(t *task.Task) (*Contract, error) {
+// strategy and budget. It returns the contract, or nil if the task was
+// withheld as unaffordable or no site took it.
+func (c *Client) SubmitTask(t *task.Task) *Contract {
 	c.Submitted++
 	c.refresh()
 	bid := c.cfg.Strategy.Shape(t)
@@ -127,51 +133,57 @@ func (c *Client) SubmitTask(t *task.Task) (*Contract, error) {
 	if bid.Value > c.remaining {
 		c.Unaffordable++
 		t.State = task.Rejected
-		return nil, nil
+		return nil
 	}
 
-	contract, err := c.negotiateShaped(t, bid)
-	if err == ErrNoAcceptingSite {
+	contract := c.negotiate(t, bid)
+	if contract == nil {
 		c.Declined++
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
+		return nil
 	}
 	c.Placed++
 	c.remaining -= contract.NegotiatedPrice
 	c.SpentTotal += contract.NegotiatedPrice
 	c.Contracts = append(c.Contracts, contract)
-	return contract, nil
+	return contract
 }
 
-// negotiateShaped mirrors Broker.Negotiate but submits the shaped bid
-// while awarding the real task (the site schedules what actually runs; the
-// shaded value function governs what it earns).
-func (c *Client) negotiateShaped(t *task.Task, bid Bid) (*Contract, error) {
-	// With a truthful strategy the plain broker path is identical.
-	if _, truthful := c.cfg.Strategy.(Truthful); truthful {
-		return c.broker.Negotiate(t)
+// negotiate places the task under the shaped bid. A truthful bid is the
+// task itself. Otherwise the exchange places a shadow task carrying the
+// shaped value function — the site schedules what actually runs, and the
+// shaped value governs what it earns — and the caller's task mirrors the
+// shadow's outcome.
+func (c *Client) negotiate(t *task.Task, bid Bid) *Contract {
+	if c.shadows == nil {
+		return c.ex.Negotiate(t)
 	}
 	shadow := task.New(t.ID, t.Arrival, bid.Runtime, bid.Value, bid.Decay, bid.Bound)
-	shadow.Class = t.Class
-	contract, err := c.broker.Negotiate(shadow)
-	if err != nil {
-		return nil, err
+	shadow.Class, shadow.Cohort, shadow.Client = t.Class, t.Cohort, t.Client
+	c.shadows[shadow] = t
+	contract := c.ex.Negotiate(shadow)
+	if contract == nil {
+		delete(c.shadows, shadow)
 	}
-	// Reflect the shadow's lifecycle onto the caller's task record.
 	t.State = shadow.State
-	return contract, nil
+	return contract
+}
+
+// mirror copies a finished shadow's outcome onto the caller's task. Its
+// yield is the realized contract price: what the site earned under the
+// shaped value function.
+func (c *Client) mirror(shadow *task.Task) {
+	t, ok := c.shadows[shadow]
+	if !ok {
+		return
+	}
+	delete(c.shadows, shadow)
+	t.State, t.RPT, t.Start, t.Completion = shadow.State, shadow.RPT, shadow.Start, shadow.Completion
+	t.Preemptions, t.Yield = shadow.Preemptions, shadow.Yield
 }
 
 // ScheduleArrivals registers the client's tasks at their arrival times.
 func (c *Client) ScheduleArrivals(tasks []*task.Task) {
 	for _, t := range tasks {
-		t := t
-		c.engine.At(t.Arrival, func() {
-			if _, err := c.SubmitTask(t); err != nil {
-				panic(err)
-			}
-		})
+		c.ex.Engine.At(t.Arrival, func() { c.SubmitTask(t) })
 	}
 }

@@ -31,7 +31,7 @@ func TestCompetingClientsConservation(t *testing.T) {
 	budgets := []float64{2000, 6000, 1e12}
 	clients := make([]*Client, len(budgets))
 	for i, b := range budgets {
-		clients[i] = NewClient(ex.Engine, ex.Broker, ClientConfig{
+		clients[i] = NewClient(ex, ClientConfig{
 			Name: "g", Budget: b, Interval: interval,
 		})
 	}
@@ -39,12 +39,7 @@ func TestCompetingClientsConservation(t *testing.T) {
 	all := tr.Clone()
 	for i, tk := range all {
 		c := clients[i%len(clients)]
-		tk := tk
-		ex.Engine.At(tk.Arrival, func() {
-			if _, err := c.SubmitTask(tk); err != nil {
-				panic(err)
-			}
-		})
+		ex.Engine.At(tk.Arrival, func() { c.SubmitTask(tk) })
 	}
 	ex.Run()
 
@@ -56,7 +51,7 @@ func TestCompetingClientsConservation(t *testing.T) {
 			t.Fatalf("client %d accounting: %d+%d+%d != %d", i, c.Placed, c.Declined, c.Unaffordable, c.Submitted)
 		}
 		for _, contract := range c.Contracts {
-			if !contract.Settled {
+			if contract.ran.State != task.Completed {
 				t.Fatalf("client %d holds an unsettled contract after drain", i)
 			}
 			if contract.ChargedPrice() > contract.NegotiatedPrice+1e-9 {
@@ -74,8 +69,8 @@ func TestCompetingClientsConservation(t *testing.T) {
 	}
 
 	settled := 0
-	for _, svc := range ex.Services {
-		settled += svc.Ledger().Settled
+	for _, s := range ex.Sites {
+		settled += s.Metrics().Completed
 	}
 	if settled != totalPlaced {
 		t.Fatalf("sites settled %d contracts for %d placements", settled, totalPlaced)
@@ -84,13 +79,13 @@ func TestCompetingClientsConservation(t *testing.T) {
 
 func TestClientSubmitErrorPropagates(t *testing.T) {
 	ex := NewExchange(BestYield{}, exchangeConfigs(1, admission.AcceptAll{}))
-	c := NewClient(ex.Engine, ex.Broker, ClientConfig{Name: "u", Budget: 1e9})
+	c := NewClient(ex, ClientConfig{Name: "u", Budget: 1e9})
 	bad := task.New(1, 0, -5, 100, 1, math.Inf(1)) // invalid runtime
 	ex.Engine.At(0, func() {
 		// Invalid tasks produce no offers: every site errors on the quote,
 		// so the negotiation ends declined rather than failing the client.
-		if contract, err := c.SubmitTask(bad); err != nil || contract != nil {
-			t.Errorf("SubmitTask(bad) = %v, %v; want declined", contract, err)
+		if contract := c.SubmitTask(bad); contract != nil {
+			t.Errorf("SubmitTask(bad) = %v; want declined", contract)
 		}
 	})
 	ex.Run()

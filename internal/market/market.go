@@ -13,9 +13,6 @@
 package market
 
 import (
-	"fmt"
-
-	"repro/internal/admission"
 	"repro/internal/task"
 	"repro/internal/valuefn"
 )
@@ -51,15 +48,11 @@ func BidFromTask(t *task.Task) Bid {
 		Cohort: t.Cohort, Client: t.Client}
 }
 
-// ValueFn returns the bid's value function.
-func (b Bid) ValueFn() valuefn.Linear {
-	return valuefn.Linear{Value: b.Value, Decay: b.Decay, Bound: b.Bound}
-}
-
 // YieldAtCompletion evaluates the bid's value function at an absolute
 // completion time.
 func (b Bid) YieldAtCompletion(completion float64) float64 {
-	return b.ValueFn().YieldAt(completion - (b.Arrival + b.Runtime))
+	vf := valuefn.Linear{Value: b.Value, Decay: b.Decay, Bound: b.Bound}
+	return vf.YieldAt(completion - (b.Arrival + b.Runtime))
 }
 
 // ServerBid is a site's response to a client bid it is willing to accept:
@@ -87,64 +80,21 @@ type Contract struct {
 	// Pricer (e.g. SecondPrice) may set it lower.
 	NegotiatedPrice float64
 
-	// Settlement, populated at completion.
-	Settled     bool
-	CompletedAt float64
-	FinalPrice  float64 // value function at actual completion
+	ran *task.Task // the task the site runs; its outcome settles the contract
 }
 
-// ChargedPrice is what the client actually pays: the negotiated price,
-// reduced by the value function if the site delivered late (a late task
-// can never be charged more than its delivered value; a deep-late task
-// charges the penalty).
+// ChargedPrice is what the client actually pays once the site has run the
+// task: the negotiated price, reduced to the realized yield if the site
+// delivered late (a late task can never be charged more than its delivered
+// value; a deep-late task charges the penalty). It is 0 until then.
 func (c Contract) ChargedPrice() float64 {
-	if !c.Settled {
+	if c.ran == nil || c.ran.State != task.Completed {
 		return 0
 	}
-	if c.FinalPrice < c.NegotiatedPrice {
-		return c.FinalPrice
+	if c.ran.Yield < c.NegotiatedPrice {
+		return c.ran.Yield
 	}
 	return c.NegotiatedPrice
-}
-
-// Violation reports how far the actual completion overran the negotiated
-// expectation (0 if unsettled or on time).
-func (c Contract) Violation() float64 {
-	if !c.Settled {
-		return 0
-	}
-	v := c.CompletedAt - c.Server.ExpectedCompletion
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Penalty reports the price shortfall versus the negotiated expectation
-// (0 if unsettled or paid in full).
-func (c Contract) Penalty() float64 {
-	if !c.Settled {
-		return 0
-	}
-	p := c.Server.ExpectedPrice - c.FinalPrice
-	if p < 0 {
-		return 0
-	}
-	return p
-}
-
-// Service is the seller-side negotiation interface a site (or a remote
-// proxy for one) exposes to clients and brokers.
-type Service interface {
-	// SiteID names the site for contract records.
-	SiteID() string
-	// Propose evaluates a bid against the current candidate schedule. It
-	// returns the server bid and true to accept, or false to reject. A
-	// proposal must not commit resources: only Award does.
-	Propose(b Bid) (ServerBid, bool)
-	// Award commits the task under a previously proposed server bid. The
-	// site schedules the task; its eventual completion settles the contract.
-	Award(t *task.Task, sb ServerBid) (*Contract, error)
 }
 
 // Selector ranks server bids for a client. Given the client's bid and the
@@ -190,17 +140,3 @@ func (EarliestCompletion) Select(_ Bid, offers []ServerBid) int {
 	}
 	return best
 }
-
-// quoteToServerBid converts a site's admission quote into the server bid
-// sent back to the client.
-func quoteToServerBid(siteID string, q admission.Quote) ServerBid {
-	return ServerBid{
-		SiteID:             siteID,
-		TaskID:             q.TaskID,
-		ExpectedCompletion: q.ExpectedCompletion,
-		ExpectedPrice:      q.ExpectedYield,
-	}
-}
-
-// ErrNoAcceptingSite indicates every site rejected the bid.
-var ErrNoAcceptingSite = fmt.Errorf("market: no site accepted the bid")

@@ -31,30 +31,6 @@ func TestBidYieldAtCompletion(t *testing.T) {
 	}
 }
 
-func TestContractViolationAndPenalty(t *testing.T) {
-	c := Contract{
-		Server: ServerBid{ExpectedCompletion: 100, ExpectedPrice: 50},
-	}
-	if c.Violation() != 0 || c.Penalty() != 0 {
-		t.Error("unsettled contract should report zero violation/penalty")
-	}
-	c.Settled = true
-	c.CompletedAt = 120
-	c.FinalPrice = 30
-	if got := c.Violation(); got != 20 {
-		t.Errorf("Violation() = %v, want 20", got)
-	}
-	if got := c.Penalty(); got != 20 {
-		t.Errorf("Penalty() = %v, want 20", got)
-	}
-	// Early and overpaid: both clamp to zero.
-	c.CompletedAt = 90
-	c.FinalPrice = 60
-	if c.Violation() != 0 || c.Penalty() != 0 {
-		t.Error("early/overpaid contract should clamp to zero")
-	}
-}
-
 func TestBestYieldSelectsEarliestForLinearDecay(t *testing.T) {
 	b := Bid{TaskID: 1, Arrival: 0, Runtime: 10, Value: 100, Decay: 1, Bound: math.Inf(1)}
 	offers := []ServerBid{

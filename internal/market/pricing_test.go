@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/admission"
-	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -55,20 +54,21 @@ func TestPricerNames(t *testing.T) {
 }
 
 func TestChargedPrice(t *testing.T) {
-	c := Contract{NegotiatedPrice: 60}
+	ran := task.New(1, 0, 10, 100, 1, math.Inf(1))
+	c := Contract{NegotiatedPrice: 60, ran: ran}
 	if c.ChargedPrice() != 0 {
 		t.Error("unsettled contract should charge 0")
 	}
-	c.Settled = true
-	c.FinalPrice = 100 // delivered more value than negotiated
+	ran.State = task.Completed
+	ran.Yield = 100 // delivered more value than negotiated
 	if got := c.ChargedPrice(); got != 60 {
 		t.Errorf("ChargedPrice = %v, want negotiated 60", got)
 	}
-	c.FinalPrice = 30 // late delivery
+	ran.Yield = 30 // late delivery
 	if got := c.ChargedPrice(); got != 30 {
 		t.Errorf("ChargedPrice = %v, want value-limited 30", got)
 	}
-	c.FinalPrice = -10 // penalty region
+	ran.Yield = -10 // penalty region
 	if got := c.ChargedPrice(); got != -10 {
 		t.Errorf("ChargedPrice = %v, want penalty -10", got)
 	}
@@ -78,16 +78,10 @@ func TestBrokerAppliesSecondPrice(t *testing.T) {
 	// Two idle sites produce two offers with equal expected prices; under
 	// SecondPrice the winner charges the competitor's price.
 	ex := NewExchange(BestYield{}, exchangeConfigs(2, admission.AcceptAll{}))
-	ex.Broker.SetPricer(SecondPrice{})
+	ex.Pricer = SecondPrice{}
 	tk := task.New(1, 0, 10, 100, 1, math.Inf(1))
 	var contract *Contract
-	ex.Engine.At(0, func() {
-		c, err := ex.Broker.Negotiate(tk)
-		if err != nil {
-			t.Error(err)
-		}
-		contract = c
-	})
+	ex.Engine.At(0, func() { contract = ex.Negotiate(tk) })
 	ex.Engine.Run()
 
 	if contract == nil {
@@ -104,7 +98,7 @@ func TestBrokerAppliesSecondPrice(t *testing.T) {
 
 func TestClientBudgetGating(t *testing.T) {
 	ex := NewExchange(BestYield{}, exchangeConfigs(1, admission.AcceptAll{}))
-	client := NewClient(ex.Engine, ex.Broker, ClientConfig{
+	client := NewClient(ex, ClientConfig{
 		Name: "u1", Budget: 150, Interval: math.Inf(1),
 	})
 
@@ -113,9 +107,7 @@ func TestClientBudgetGating(t *testing.T) {
 	tooMuch := task.New(3, 0, 10, 100, 1, math.Inf(1))
 	ex.Engine.At(0, func() {
 		for _, tk := range []*task.Task{cheap, pricey, tooMuch} {
-			if _, err := client.SubmitTask(tk); err != nil {
-				t.Error(err)
-			}
+			client.SubmitTask(tk)
 		}
 	})
 	ex.Engine.Run()
@@ -125,8 +117,8 @@ func TestClientBudgetGating(t *testing.T) {
 	if client.Placed != 1 || client.Unaffordable != 2 {
 		t.Fatalf("placed %d unaffordable %d, want 1/2", client.Placed, client.Unaffordable)
 	}
-	if client.Remaining() != 50 {
-		t.Errorf("remaining = %v, want 50", client.Remaining())
+	if client.remaining != 50 {
+		t.Errorf("remaining = %v, want 50", client.remaining)
 	}
 	if tooMuch.State != task.Rejected {
 		t.Errorf("unaffordable task state = %v, want rejected", tooMuch.State)
@@ -135,7 +127,7 @@ func TestClientBudgetGating(t *testing.T) {
 
 func TestClientBudgetReplenishes(t *testing.T) {
 	ex := NewExchange(BestYield{}, exchangeConfigs(1, admission.AcceptAll{}))
-	client := NewClient(ex.Engine, ex.Broker, ClientConfig{
+	client := NewClient(ex, ClientConfig{
 		Name: "u1", Budget: 100, Interval: 50,
 	})
 	a := task.New(1, 0, 10, 100, 0.001, math.Inf(1))
@@ -150,28 +142,19 @@ func TestClientBudgetReplenishes(t *testing.T) {
 }
 
 func TestShadedStrategyLowersCharge(t *testing.T) {
-	mkExchange := func() (*Exchange, *sim.Engine) {
-		ex := NewExchange(BestYield{}, exchangeConfigs(1, admission.AcceptAll{}))
-		return ex, ex.Engine
-	}
-
 	runWith := func(strategy BidStrategy) float64 {
-		ex, eng := mkExchange()
-		client := NewClient(eng, ex.Broker, ClientConfig{
+		ex := NewExchange(BestYield{}, exchangeConfigs(1, admission.AcceptAll{}))
+		client := NewClient(ex, ClientConfig{
 			Name: "u", Budget: 1e9, Strategy: strategy,
 		})
 		tk := task.New(1, 0, 10, 100, 1, math.Inf(1))
 		var spent float64
-		eng.At(0, func() {
-			c, err := client.SubmitTask(tk)
-			if err != nil {
-				t.Error(err)
-			}
-			if c != nil {
+		ex.Engine.At(0, func() {
+			if c := client.SubmitTask(tk); c != nil {
 				spent = c.NegotiatedPrice
 			}
 		})
-		eng.Run()
+		ex.Run()
 		return spent
 	}
 

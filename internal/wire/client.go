@@ -691,10 +691,6 @@ func proposeEach[S any](sites []S, workers int, eo exchangeObs, bid market.Bid,
 // If the bid carries no request ID, one is minted here — the start of the
 // task's cross-process lifecycle trace.
 func (n *Negotiator) Negotiate(b market.Bid) (market.ServerBid, bool, error) {
-	sel := n.Selector
-	if sel == nil {
-		sel = market.BestYield{}
-	}
 	if b.ReqID == "" {
 		b.ReqID = obs.NewRequestID()
 	}
@@ -718,30 +714,23 @@ func (n *Negotiator) Negotiate(b market.Bid) (market.ServerBid, bool, error) {
 			Cohort: b.Cohort, Client: b.Client})
 		return market.ServerBid{}, false, err
 	}
-	for len(offers) > 0 {
-		i := sel.Select(b, offers)
-		if i < 0 {
-			break
-		}
+	i, terms := market.Place(b, offers, n.Selector, func(i int) (terms market.ServerBid, ok bool, err error) {
 		eo.trace(obs.TraceEvent{Stage: obs.StageBid, Task: uint64(b.TaskID), Req: b.ReqID,
 			Site: offers[i].SiteID, Value: offers[i].ExpectedPrice, Cohort: b.Cohort, Client: b.Client})
-		var terms market.ServerBid
-		var ok bool
-		err := callWithRetry(offerSites[i], n.retries(), n.backoff(), eo, nil, func() (err error) {
+		err = callWithRetry(offerSites[i], n.retries(), n.backoff(), eo, nil, func() (err error) {
 			terms, ok, err = offerSites[i].Award(b, offers[i])
 			return err
 		})
-		if err == nil && ok {
-			eo.placed.Inc()
-			eo.trace(obs.TraceEvent{Stage: obs.StageContract, Task: uint64(b.TaskID), Req: b.ReqID,
-				Site: terms.SiteID, Value: terms.ExpectedPrice, Cohort: b.Cohort, Client: b.Client})
-			return terms, true, nil
-		}
 		if err != nil {
 			eo.log.Warn("site failed award", "addr", offerSites[i].Addr(), "task", b.TaskID, "req", b.ReqID, "err", err.Error())
 		}
-		offers = append(offers[:i], offers[i+1:]...)
-		offerSites = append(offerSites[:i], offerSites[i+1:]...)
+		return terms, ok, err
+	})
+	if i >= 0 {
+		eo.placed.Inc()
+		eo.trace(obs.TraceEvent{Stage: obs.StageContract, Task: uint64(b.TaskID), Req: b.ReqID,
+			Site: terms.SiteID, Value: terms.ExpectedPrice, Cohort: b.Cohort, Client: b.Client})
+		return terms, true, nil
 	}
 	eo.declined.Inc()
 	eo.trace(obs.TraceEvent{Stage: obs.StageReject, Task: uint64(b.TaskID), Req: b.ReqID, Detail: "no site accepted",
