@@ -24,7 +24,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7600", "listen address")
 		id        = flag.String("id", "site-0", "site identifier")
 		procs     = flag.Int("procs", 4, "processors")
-		shards    = flag.Int("shards", 1, "task-book shards (1 = single book; >1 spreads the book across cores)")
 		codecs    = flag.String("codecs", "", "comma-separated codecs offered to v2 clients (empty allows every registered codec; json is always available)")
 		policy    = flag.String("policy", "firstreward:alpha=0.3,rate=0.01", "scheduling policy spec (see core.ParseSpec)")
 		admSpec   = flag.String("admission", "slack:threshold=0", "admission policy spec (accept-all, slack:threshold=X, min-yield:threshold=X)")
@@ -86,7 +85,6 @@ func main() {
 	cfg := wire.ServerConfig{
 		SiteID:          *id,
 		Processors:      *procs,
-		Shards:          *shards,
 		Codecs:          allowCodecs,
 		Policy:          pol,
 		Admission:       adm,
@@ -130,7 +128,7 @@ func main() {
 		defer diag.Close()
 		fmt.Printf("diagnostics on http://%s/metrics\n", diag.Addr())
 	}
-	fmt.Printf("site %s listening on %s (%d processors, %d shards, %s)\n", *id, srv.Addr(), *procs, *shards, cfg.Policy.Name())
+	fmt.Printf("site %s listening on %s (%d processors, %s)\n", *id, srv.Addr(), *procs, cfg.Policy.Name())
 	if *dataDir != "" {
 		fmt.Printf("journaling contracts to %s (fsync=%s, crash-regime=%s)\n", *dataDir, fsyncPolicy, *regime)
 	}

@@ -109,13 +109,13 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Fatalf("building siteserver: %v", err)
 	}
 
-	// The harness runs against the sharded book and negotiates the binary
-	// codec on both the pre-crash and recovered connections: crash
-	// recovery, settlement push, and ledger reconciliation must all hold
-	// on the v2 wire exactly as on the v1 JSON path.
+	// The harness negotiates the binary codec on both the pre-crash and
+	// recovered connections: crash recovery, settlement push, and ledger
+	// reconciliation must all hold on the v2 wire exactly as on the v1
+	// JSON path.
 	dataDir := t.TempDir()
 	common := []string{
-		"-procs", "2", "-shards", "4", "-timescale", "2ms", "-admission", "accept-all",
+		"-procs", "2", "-timescale", "2ms", "-admission", "accept-all",
 		"-data-dir", dataDir, "-fsync", "always", "-quiet",
 	}
 	p1 := startSiteProc(t, bin, append([]string{"-addr", "127.0.0.1:0"}, common...)...)

@@ -55,3 +55,39 @@ func TestEconomyGolden(t *testing.T) {
 	cfg.Options = goldenOptions
 	checkGolden(t, "economy", RunEconomy(cfg))
 }
+
+// TestFig3Golden pins RunFig3's numbers: PV's yield improvement over
+// FirstPrice per discount rate and value skew, under preemptive restart.
+func TestFig3Golden(t *testing.T) {
+	cfg := DefaultFig3()
+	cfg.Options = goldenOptions
+	checkGolden(t, "fig3", RunFig3(cfg))
+}
+
+// TestFig4Golden pins Figure 4's α sweep under bounded penalties.
+func TestFig4Golden(t *testing.T) {
+	cfg := DefaultFig4()
+	cfg.Options = goldenOptions
+	checkGolden(t, "fig4", RunAlphaSweep(cfg))
+}
+
+// TestFig5Golden pins Figure 5's α sweep under unbounded penalties.
+func TestFig5Golden(t *testing.T) {
+	cfg := DefaultFig5()
+	cfg.Options = goldenOptions
+	checkGolden(t, "fig5", RunAlphaSweep(cfg))
+}
+
+// TestFig6Golden pins Figure 6's admission-controlled yield per load.
+func TestFig6Golden(t *testing.T) {
+	cfg := DefaultFig6()
+	cfg.Options = goldenOptions
+	checkGolden(t, "fig6", RunFig6(cfg))
+}
+
+// TestFig7Golden pins Figure 7's admission improvement per load.
+func TestFig7Golden(t *testing.T) {
+	cfg := DefaultFig7()
+	cfg.Options = goldenOptions
+	checkGolden(t, "fig7", RunFig7(cfg))
+}

@@ -37,13 +37,6 @@ type QuoteSnapshot struct {
 	Pending      []*task.Task
 	Running      []RunningSlot
 
-	// Seqs, when non-nil, is parallel to Pending: each task's global
-	// booking-order stamp. Sharded publishers fill it so that
-	// MergeQuoteSnapshots can reassemble the site-wide pending set in the
-	// exact arrival order a single-shard book would hold; single-book
-	// publishers (the simulator) leave it nil.
-	Seqs []uint64
-
 	// base caches the candidate schedule of Pending alone, ranked at the
 	// clock reading in its Now. The rest of the snapshot never changes, so
 	// now is the whole cache key; concurrent quoters may race to fill it,
@@ -109,20 +102,3 @@ func (qs *QuoteSnapshot) quote(now float64, probe *task.Task) (q admission.Quote
 	q, err = admission.Evaluate(probe, cand, qs.DiscountRate)
 	return q, false, err
 }
-
-// Board publishes the latest QuoteSnapshot to lock-free readers via a
-// single atomic pointer. Writers build a fresh snapshot after every
-// scheduling-state change and Publish it; readers Load whatever is current
-// and quote against it. The zero Board is empty (Load returns nil) and
-// ready to use.
-type Board struct {
-	p atomic.Pointer[QuoteSnapshot]
-}
-
-// Load returns the most recently published snapshot, or nil before the
-// first Publish.
-func (b *Board) Load() *QuoteSnapshot { return b.p.Load() }
-
-// Publish installs qs as the current snapshot. The caller must not mutate
-// qs afterwards.
-func (b *Board) Publish(qs *QuoteSnapshot) { b.p.Store(qs) }

@@ -201,65 +201,3 @@ func TestSnapshotConcurrentQuotes(t *testing.T) {
 		t.Fatal("the snapshot cached no base candidate for the shared instant")
 	}
 }
-
-// TestBoardPublishLoad exercises the Board under concurrent readers while a
-// writer republishes: every loaded snapshot must be one that was actually
-// published, intact, and quotable without data races — including the race
-// to fill each snapshot's base-candidate cache.
-func TestBoardPublishLoad(t *testing.T) {
-	var b Board
-	if b.Load() != nil {
-		t.Fatal("zero Board should be empty")
-	}
-
-	var snaps []*QuoteSnapshot
-	var pending []*task.Task
-	for i := 0; i < 8; i++ {
-		pending = append(pending, task.New(task.ID(i+1), 0, float64(i+1), 100, 1, math.Inf(1)))
-		snaps = append(snaps, &QuoteSnapshot{
-			Version: uint64(i + 1),
-			Procs:   2,
-			Policy:  core.SRPT{},
-			Pending: pending[: i+1 : i+1],
-			Running: []RunningSlot{{Start: 0, Runtime: float64(10 * i)}},
-		})
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			probe := task.New(1000+task.ID(r), 0, 3, 40, 0.5, math.Inf(1))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				qs := b.Load()
-				if qs == nil {
-					continue
-				}
-				if qs.Version < 1 || qs.Version > uint64(len(snaps)) || len(qs.Pending) != int(qs.Version) {
-					t.Errorf("loaded a snapshot that was never published: version %d, %d pending", qs.Version, len(qs.Pending))
-					return
-				}
-				p := *probe
-				if _, err := qs.Quote(0, &p); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(r)
-	}
-	for i := 0; i < 200; i++ {
-		b.Publish(snaps[i%len(snaps)])
-	}
-	close(stop)
-	wg.Wait()
-	if got := b.Load(); got == nil {
-		t.Fatal("board lost its snapshot")
-	}
-}

@@ -11,84 +11,57 @@ import (
 	"repro/internal/task"
 )
 
-// checkBook locks every shard of srv and asserts the contract book's
-// invariants: each open record sits in exactly the indexes of its state,
-// pending holds exactly the unsynced and queued records in strictly
-// increasing booking order, every record lives on the shard its ID maps
-// to, no contract is both open and settled, and the site-wide queue and
-// running atomics equal the census.
+// checkBook locks srv's book and asserts its invariants: each open record
+// sits in exactly the indexes of its state, pending holds exactly the
+// unsynced and queued records in strictly increasing booking order, and no
+// contract is both open and settled.
 func checkBook(t *testing.T, srv *Server) {
 	t.Helper()
-	for _, sh := range srv.shards {
-		sh.mu.Lock()
+	srv.bookMu.Lock()
+	defer srv.bookMu.Unlock()
+	inPending := make(map[*contract]bool, len(srv.pending))
+	for j, c := range srv.pending {
+		if j > 0 && c.seq <= srv.pending[j-1].seq {
+			t.Errorf("pending[%d] seq %d not above pending[%d] seq %d", j, c.seq, j-1, srv.pending[j-1].seq)
+		}
+		inPending[c] = true
 	}
-	defer func() {
-		for i := len(srv.shards) - 1; i >= 0; i-- {
-			srv.shards[i].mu.Unlock()
+	for id, c := range srv.open {
+		if c.t.ID != id {
+			t.Errorf("record for task %d filed under %d", c.t.ID, id)
 		}
-	}()
-	queued, running := 0, 0
-	for i, sh := range srv.shards {
-		inPending := make(map[*contract]bool, len(sh.pending))
-		for j, c := range sh.pending {
-			if j > 0 && c.seq <= sh.pending[j-1].seq {
-				t.Errorf("shard %d: pending[%d] seq %d not above pending[%d] seq %d", i, j, c.seq, j-1, sh.pending[j-1].seq)
-			}
-			inPending[c] = true
+		if _, dup := srv.settled[id]; dup {
+			t.Errorf("task %d is both open and settled", id)
 		}
-		for id, c := range sh.open {
-			if c.t.ID != id {
-				t.Errorf("shard %d: record for task %d filed under %d", i, c.t.ID, id)
-			}
-			if srv.shardFor(id) != sh {
-				t.Errorf("task %d lives on shard %d, not its shard of record", id, i)
-			}
-			if _, dup := sh.settled[id]; dup {
-				t.Errorf("task %d is both open and settled", id)
-			}
-			wantPending := c.state == stateUnsynced || c.state == stateQueued
-			if c.state > stateRunning {
-				t.Errorf("task %d in unknown state %d", id, c.state)
-			}
-			if inPending[c] != wantPending || (sh.running[id] == c) != (c.state == stateRunning) ||
-				(sh.unsynced[id] == c) != (c.state == stateUnsynced) {
-				t.Errorf("task %d in state %d: pending %v, running %v, unsynced %v", id, c.state,
-					inPending[c], sh.running[id] == c, sh.unsynced[id] == c)
-			}
+		wantPending := c.state == stateUnsynced || c.state == stateQueued
+		if c.state > stateRunning {
+			t.Errorf("task %d in unknown state %d", id, c.state)
 		}
-		for c := range inPending {
-			if sh.open[c.t.ID] != c {
-				t.Errorf("shard %d: pending task %d is not an open record", i, c.t.ID)
-			}
+		if inPending[c] != wantPending || (srv.running[id] == c) != (c.state == stateRunning) ||
+			(srv.unsynced[id] == c) != (c.state == stateUnsynced) {
+			t.Errorf("task %d in state %d: pending %v, running %v, unsynced %v", id, c.state,
+				inPending[c], srv.running[id] == c, srv.unsynced[id] == c)
 		}
-		for id, c := range sh.running {
-			if sh.open[id] != c {
-				t.Errorf("shard %d: running task %d is not an open record", i, id)
-			}
-		}
-		for id, c := range sh.unsynced {
-			if sh.open[id] != c {
-				t.Errorf("shard %d: unsynced task %d is not an open record", i, id)
-			}
-		}
-		for id := range sh.settled {
-			if srv.shardFor(id) != sh {
-				t.Errorf("settled task %d lives on shard %d, not its shard of record", id, i)
-			}
-		}
-		queued += len(sh.pending)
-		running += len(sh.running)
 	}
-	if got := srv.nQueued.Load(); got != int64(queued) {
-		t.Errorf("nQueued = %d, census %d", got, queued)
+	for c := range inPending {
+		if srv.open[c.t.ID] != c {
+			t.Errorf("pending task %d is not an open record", c.t.ID)
+		}
 	}
-	if got := srv.nRunning.Load(); got != int64(running) {
-		t.Errorf("nRunning = %d, census %d", got, running)
+	for id, c := range srv.running {
+		if srv.open[id] != c {
+			t.Errorf("running task %d is not an open record", id)
+		}
+	}
+	for id, c := range srv.unsynced {
+		if srv.open[id] != c {
+			t.Errorf("unsynced task %d is not an open record", id)
+		}
 	}
 }
 
-// bookCounts is an aggregated census of the sharded contract book; tests
-// and diagnostics use it instead of reaching into per-shard records.
+// bookCounts is a census of the contract book; tests and diagnostics use
+// it instead of reaching into the records.
 // pending counts unsynced and queued contracts, timers running contracts
 // whose completion timer is live, owners open contracts with a connected
 // client, and prices every open contract (each carries standing terms).
@@ -97,33 +70,26 @@ type bookCounts struct {
 }
 
 func (s *Server) countBook() bookCounts {
-	var b bookCounts
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		b.pending += len(sh.pending)
-		b.running += len(sh.running)
-		b.prices += len(sh.open)
-		b.unsynced += len(sh.unsynced)
-		b.settled += len(sh.settled)
-		for _, c := range sh.open {
-			if c.owner != nil {
-				b.owners++
-			}
-			if c.timer != nil {
-				b.timers++
-			}
+	s.bookMu.Lock()
+	defer s.bookMu.Unlock()
+	b := bookCounts{pending: len(s.pending), running: len(s.running), prices: len(s.open),
+		unsynced: len(s.unsynced), settled: len(s.settled)}
+	for _, c := range s.open {
+		if c.owner != nil {
+			b.owners++
 		}
-		sh.mu.Unlock()
+		if c.timer != nil {
+			b.timers++
+		}
 	}
 	return b
 }
 
 // taskRunning reports whether id currently occupies a processor.
 func (s *Server) taskRunning(id task.ID) bool {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.running[id]
+	s.bookMu.Lock()
+	defer s.bookMu.Unlock()
+	_, ok := s.running[id]
 	return ok
 }
 

@@ -25,10 +25,10 @@ import (
 // backlog script's decision sequence and final counts must equal what the
 // simulated site decides when the same twelve tasks are submitted at
 // virtual time 0. The live script's wall-clock progress (milliseconds)
-// stays inside the 50-unit margin shardScript builds into the threshold,
+// stays inside the 50-unit margin backlogScript builds into the threshold,
 // so an instantaneous submission sees the same side of every decision.
 func TestServerDecisionsMatchSimulator(t *testing.T) {
-	liveDec, la, lr, lc := shardScript(t, 1, CodecJSON)
+	liveDec, la, lr, lc := backlogScript(t, CodecJSON)
 
 	eng := sim.New()
 	oracle := site.New(eng, "oracle", site.Config{
@@ -91,7 +91,7 @@ func TestPublishedSnapshotImmutable(t *testing.T) {
 	// One task running, one queued behind it.
 	award(1)
 	award(2)
-	snap := srv.shards[0].board.Load()
+	snap := srv.snap.Load()
 	if len(snap.Running) != 1 || len(snap.Pending) != 1 {
 		t.Fatalf("captured %d running, %d pending; want 1 and 1", len(snap.Running), len(snap.Pending))
 	}
@@ -108,7 +108,7 @@ func TestPublishedSnapshotImmutable(t *testing.T) {
 
 	award(3) // the book moves on: a third award, then dispatches and completions
 	settled.Wait()
-	if cur := srv.shards[0].board.Load(); cur == snap || len(cur.Pending) != 0 || len(cur.Running) != 0 {
+	if cur := srv.snap.Load(); cur == snap || len(cur.Pending) != 0 || len(cur.Running) != 0 {
 		t.Fatal("the live book did not drain past the captured snapshot")
 	}
 

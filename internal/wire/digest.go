@@ -86,7 +86,7 @@ func (s *Server) pushDigests(sc *serverConn, interval time.Duration, stop chan s
 // which is the waiting-time estimate a router needs to price a placement.
 func (s *Server) digest(interval time.Duration) Envelope {
 	var backlog float64
-	snap, _ := s.mergedSnapshot()
+	snap := s.snap.Load()
 	now := s.now()
 	for _, rel := range snap.BusyUntil(now) {
 		backlog += rel - now
@@ -97,7 +97,7 @@ func (s *Server) digest(interval time.Duration) Envelope {
 	if snap.Procs > 0 {
 		backlog /= float64(snap.Procs)
 	}
-	queued := int(s.nQueued.Load())
+	queued := len(snap.Pending)
 	// The valve starts shedding by value at half the book cap — the same
 	// knee floorAt ramps from — so Shedding advertises "the floor is live".
 	shedding := s.shed.maxPending > 0 && 2*queued >= s.shed.maxPending
@@ -105,7 +105,7 @@ func (s *Server) digest(interval time.Duration) Envelope {
 		Type:     TypeDigest,
 		SiteID:   s.cfg.SiteID,
 		Queue:    queued,
-		Running:  int(s.nRunning.Load()),
+		Running:  len(snap.Running),
 		Procs:    s.cfg.Processors,
 		Backlog:  backlog,
 		Floor:    s.shedFloorNow(),

@@ -222,7 +222,8 @@ func (rb *recoveredBook) close(id task.ID) {
 
 // openJournal opens (or creates) the contract journal and restores the
 // server's clock and contract book from it. Called from NewServer before
-// the listener accepts: recovery is complete before the first bid.
+// the listener accepts: recovery is complete before the first bid, and
+// nothing else can reach the book yet, so it runs without bookMu.
 func (s *Server) openJournal() error {
 	began := time.Now()
 	j, err := durable.Open(s.cfg.DataDir, durable.Options{
@@ -243,7 +244,7 @@ func (s *Server) openJournal() error {
 	}
 	s.j = j
 	for id, st := range rb.done {
-		s.shardFor(id).settled[id] = st
+		s.settled[id] = st
 	}
 
 	scale := int64(s.cfg.TimeScale)
@@ -294,14 +295,12 @@ func (s *Server) openJournal() error {
 		t.State = task.Queued
 		t.Cohort = e.rec.Cohort
 		t.Client = e.rec.Client
-		// Rebook the contract queued (a crashed run restarts from zero) on
-		// its shard of record, in journal order — the arrival stamps the
-		// merged queue reassembles are assigned in replay sequence.
+		// Rebook the contract queued (a crashed run restarts from zero), in
+		// journal order.
 		c := &contract{t: t, req: e.rec.Req, state: stateQueued,
 			terms: market.ServerBid{SiteID: s.cfg.SiteID, TaskID: id,
 				ExpectedCompletion: e.rec.ExpectedCompletion, ExpectedPrice: e.rec.ExpectedPrice}}
-		sh := s.shardFor(id)
-		sh.bookLocked(c)
+		s.bookLocked(c)
 		if led := s.cfg.Ledger; led != nil {
 			led.Open(ledgerEntryFromRecord(e.rec))
 		}
@@ -322,7 +321,7 @@ func (s *Server) openJournal() error {
 			j.Close()
 			return err
 		}
-		sh.closeLocked(c, obs.OutcomeDefaulted, now, price, reason)
+		s.closeLocked(c, obs.OutcomeDefaulted, now, price, reason)
 		s.log.Info("contract defaulted in recovery", "task", id, "reason", reason, "price", price)
 		defaulted++
 	}
@@ -331,8 +330,7 @@ func (s *Server) openJournal() error {
 		return err
 	}
 	s.Accepted += recovered
-	s.syncGauges()
-	s.dispatch()
+	s.syncGaugesLocked()
 
 	s.m.recoverySeconds.Set(time.Since(began).Seconds())
 	s.m.recoveryRecords.Set(float64(rec.Records))

@@ -344,13 +344,13 @@ func TestJournalTimescaleMismatchRefused(t *testing.T) {
 // whole records that survive — a clean prefix of the pre-crash history,
 // never a corrupt or half-applied book. At every record boundary and a
 // sample of mid-record offsets a server additionally recovers from the
-// truncated journal, at 1 and 4 shards, and must hold exactly that book.
+// truncated journal and must hold exactly that book.
 func TestContractJournalTornTailEveryOffset(t *testing.T) {
 	// A small real journal covering every record kind a live site writes:
 	// eight contracts that run and settle, two left running, and four
 	// queued ones abandoned by their client's disconnect.
 	master := t.TempDir()
-	srv := startServer(t, ServerConfig{Processors: 2, Shards: 4, DataDir: master})
+	srv := startServer(t, ServerConfig{Processors: 2, DataDir: master})
 	c := dialServer(t, srv)
 	var settleWG sync.WaitGroup
 	c.SetOnSettled(func(Envelope) { settleWG.Done() })
@@ -458,25 +458,23 @@ func TestContractJournalTornTailEveryOffset(t *testing.T) {
 		if cut != ends[n] && cut%397 != 0 {
 			continue
 		}
-		for _, shards := range []int{1, 4} {
-			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, segName), full[:cut], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			rs := startServer(t, ServerConfig{Processors: 2, Shards: shards, DataDir: dir})
-			rs.mu.Lock()
-			accepted := rs.Accepted
-			rs.mu.Unlock()
-			// A recovered short task may already have re-run and settled;
-			// open and settled contracts together are what must add up.
-			book := rs.countBook()
-			if accepted != len(want[n].open) || book.prices+book.settled != len(want[n].open)+len(want[n].done) {
-				t.Fatalf("cut %d, %d shards: recovered %d open contracts into a book of %+v; journal prefix holds %d open, %d settled",
-					cut, shards, accepted, book, len(want[n].open), len(want[n].done))
-			}
-			if err := rs.Close(); err != nil {
-				t.Fatalf("cut %d, %d shards: close: %v", cut, shards, err)
-			}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs := startServer(t, ServerConfig{Processors: 2, DataDir: dir})
+		rs.mu.Lock()
+		accepted := rs.Accepted
+		rs.mu.Unlock()
+		// A recovered short task may already have re-run and settled;
+		// open and settled contracts together are what must add up.
+		book := rs.countBook()
+		if accepted != len(want[n].open) || book.prices+book.settled != len(want[n].open)+len(want[n].done) {
+			t.Fatalf("cut %d: recovered %d open contracts into a book of %+v; journal prefix holds %d open, %d settled",
+				cut, accepted, book, len(want[n].open), len(want[n].done))
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatalf("cut %d: close: %v", cut, err)
 		}
 	}
 }

@@ -184,13 +184,13 @@ func TestClientVanishesMidContract(t *testing.T) {
 }
 
 // TestDisconnectWithoutQueuedTaskPublishesNothing checks that a closing
-// connection republishes a shard only when a queued task actually left it:
+// connection republishes the book only when a queued task actually left it:
 // an idle client, and one whose only contract is already running, change
 // no scheduling state, so neither may deep-copy the book again or flip
 // in-flight optimistic awards to a validation mismatch.
 func TestDisconnectWithoutQueuedTaskPublishesNothing(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv := startServer(t, ServerConfig{SiteID: "d1", Processors: 1, Shards: 4,
+	srv := startServer(t, ServerConfig{SiteID: "d1", Processors: 1,
 		TimeScale: time.Millisecond, Metrics: reg})
 	const long = 5000 // runtime far from finishing while the test runs
 	runner, err := Dial(srv.Addr())

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,12 +83,9 @@ type ServerConfig struct {
 	// overflow bids are shed immediately without quoting. Zero disables
 	// the gate.
 	MaxInflightBids int
-	// Shards splits the contract book into this many independently locked
-	// shards keyed by task ID (DESIGN.md §14). Bids quote against the k-way
-	// merge of the shards' published snapshots, and dispatch plans over the
-	// merged queue under one global planner lock, so admission decisions and
-	// prices do not depend on the shard count. Zero or one means a single
-	// shard.
+	// Shards has no effect: the contract book is one book under one lock
+	// (DESIGN.md §14). The field remains only because the benchmark harness
+	// still sets it, and goes once the benchmark stops setting it.
 	Shards int
 	// Codecs restricts which wire codecs the server will negotiate in the
 	// v2 hello/welcome handshake. Empty allows every registered codec; JSON
@@ -102,25 +100,15 @@ func (c ServerConfig) crashRegime() string {
 	return c.CrashRegime
 }
 
-func (c ServerConfig) shardCount() int {
-	if c.Shards < 1 {
-		return 1
-	}
-	return c.Shards
-}
-
 // Server is a real-time task-service site: the same policy, quoting, and
 // admission logic as the simulated site, executing tasks on wall-clock
 // timers and serving the Figure 1 protocol over TCP. Scheduling is
 // non-preemptive.
 //
-// The contract book is split into shards keyed by task ID. Each shard owns
-// its own lock, its own slice of the book, and its own published quote
-// snapshot; processors are a single site-wide pool filled by a global
-// dispatch planner that locks every shard. Lock order is always
-// dispatchMu → shard locks (ascending) → mu; mu is a leaf guarding only
-// the exported stats. The endpoint's lock (connections and the closed
-// flag) is a leaf too.
+// The contract book is one book under bookMu, and every quote prices a bid
+// against the book's published snapshot. Lock order is always bookMu → mu;
+// mu is a leaf guarding only the exported stats. The endpoint's lock
+// (connections and the closed flag) is a leaf too.
 type Server struct {
 	cfg  ServerConfig
 	ep   *endpoint
@@ -128,22 +116,37 @@ type Server struct {
 	m    serverMetrics
 	shed *shedGate
 
-	start  time.Time
-	shards []*bookShard
-	// seq stamps every booked contract with its global arrival order, so
-	// the merged pending queue can be reassembled in exactly the order a
-	// single-shard book would hold it.
-	seq atomic.Uint64
-	// nQueued/nRunning mirror the site-wide pending and running totals for
-	// gauges and trace events without touching every shard. They change only
-	// under the owning shard's lock, so with every shard lock held (the
-	// dispatch planner) they are exact.
-	nQueued  atomic.Int64
-	nRunning atomic.Int64
-	// dispatchMu serializes the global dispatch planner: dispatch locks all
-	// shards to plan over the merged queue, and the planner lock keeps two
-	// dispatchers from interleaving their shard acquisitions.
-	dispatchMu sync.Mutex
+	start time.Time
+
+	bookMu sync.Mutex
+	// open holds every open contract. The three indexes below point into it
+	// by state: pending holds the unsynced and queued contracts in booking
+	// order, running the running ones, and unsynced the ones inside a
+	// group-commit window. A record leaves the unsynced index exactly once —
+	// accepted by the batch sweep, or closed (refused by its award's
+	// rollback, abandoned at shutdown) — so a failed round's rollback can
+	// tell from the record whether a later successful round already decided
+	// it. All of the book is guarded by bookMu.
+	open     map[task.ID]*contract
+	pending  []*contract
+	running  map[task.ID]*contract
+	unsynced map[task.ID]*contract
+	// settled retains closed contracts' settlements — compact, without
+	// their task or record — for status queries and award idempotency; it
+	// is bounded by the contract count, which suits a task service whose
+	// journal is similarly append-only.
+	settled  map[task.ID]settlement
+	syncCond *sync.Cond
+	// seq stamps every booked contract with its booking order, so a closing
+	// contract is found in pending by binary search.
+	seq uint64
+	// version counts the book's scheduling-state changes and is stamped into
+	// every published snapshot, so an award can validate its optimistic
+	// quote against the live counter.
+	version uint64
+	// snap is the published quote snapshot that lock-free readers price
+	// bids against and read the queue depths from.
+	snap atomic.Pointer[site.QuoteSnapshot]
 
 	// swept is the durability frontier the last finished batch sweep
 	// covered. An award whose journal index is below it knows its
@@ -193,46 +196,13 @@ const outcomeRefused = "refused"
 // one record, whatever its state.
 type contract struct {
 	t     *task.Task
-	seq   uint64           // global booking order, for the merged queue
+	seq   uint64           // booking order, the key of pending
 	terms market.ServerBid // standing terms, answered to duplicate awards and queries
 	owner *serverConn      // settlement recipient; nil once its client left
 	req   string           // lifecycle trace ID
 	state contractState
 	idx   uint64      // journal index of the contract record, while unsynced
 	timer *time.Timer // completion timer, while running
-}
-
-// bookShard is one lock's worth of the contract book: the open contracts
-// whose ID hashes here, plus the shard's own published quote snapshot.
-type bookShard struct {
-	s *Server
-
-	mu sync.Mutex
-	// open holds every open contract on the shard. The three indexes below
-	// point into it by state: pending holds the unsynced and queued
-	// contracts in booking order, running the running ones, and unsynced
-	// the ones inside a group-commit window. A record leaves the unsynced
-	// index exactly once — accepted by the batch sweep, or closed (refused
-	// by its award's rollback, abandoned at shutdown) — so a failed round's
-	// rollback can tell from the record whether a later successful round
-	// already decided it.
-	open     map[task.ID]*contract
-	pending  []*contract
-	running  map[task.ID]*contract
-	unsynced map[task.ID]*contract
-	// settled retains closed contracts' settlements — compact, without
-	// their task or record — for status queries and award idempotency; it
-	// is bounded by the contract count, which suits a task service whose
-	// journal is similarly append-only.
-	settled  map[task.ID]settlement
-	syncCond *sync.Cond
-
-	// version counts this shard's scheduling-state changes. It is written
-	// under mu and stamped into every published snapshot, so an award can
-	// validate each shard part of its optimistic quote against the live
-	// counter without taking the other shards' locks.
-	version atomic.Uint64
-	board   site.Board
 }
 
 // startDigest installs stop as the connection's digest-pusher cancel
@@ -266,9 +236,6 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("wire: policy is required")
 	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("wire: shards %d must be >= 0", cfg.Shards)
-	}
 	if cfg.MaxPending < 0 || cfg.MaxInflightBids < 0 {
 		return nil, fmt.Errorf("wire: shed caps (%d pending, %d inflight) must be >= 0", cfg.MaxPending, cfg.MaxInflightBids)
 	}
@@ -300,26 +267,18 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		ep:    ep,
-		log:   log,
-		m:     newServerMetrics(cfg.Metrics, cfg.SiteID),
-		shed:  newShedGate(cfg.MaxPending, cfg.MaxInflightBids),
-		start: time.Now(),
+		cfg:      cfg,
+		ep:       ep,
+		log:      log,
+		m:        newServerMetrics(cfg.Metrics, cfg.SiteID),
+		shed:     newShedGate(cfg.MaxPending, cfg.MaxInflightBids),
+		start:    time.Now(),
+		open:     make(map[task.ID]*contract),
+		running:  make(map[task.ID]*contract),
+		unsynced: make(map[task.ID]*contract),
+		settled:  make(map[task.ID]settlement),
 	}
-	nshards := cfg.shardCount()
-	s.shards = make([]*bookShard, nshards)
-	for i := range s.shards {
-		sh := &bookShard{
-			s:        s,
-			open:     make(map[task.ID]*contract),
-			running:  make(map[task.ID]*contract),
-			unsynced: make(map[task.ID]*contract),
-			settled:  make(map[task.ID]settlement),
-		}
-		sh.syncCond = sync.NewCond(&sh.mu)
-		s.shards[i] = sh
-	}
+	s.syncCond = sync.NewCond(&s.bookMu)
 	if cfg.DataDir != "" {
 		// Recovery runs to completion before the listener accepts: the
 		// first bid already quotes against the recovered queue.
@@ -328,99 +287,58 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 			return nil, err
 		}
 	}
-	// Publish the initial snapshots (empty, or the recovered queue) before
-	// the first connection can arrive.
-	for _, sh := range s.shards {
-		sh.publishLocked()
-	}
+	// Publish the initial snapshot (empty, or the recovered queue) and start
+	// what the recovered queue can run before the first connection arrives.
+	s.bookMu.Lock()
+	s.publishLocked()
+	s.dispatchLocked()
+	s.bookMu.Unlock()
 	ep.start(s.handle, s.gone)
 	return s, nil
 }
 
-// shardFor maps a task to its shard of record. Every piece of a contract's
-// state lives on the one shard its ID hashes to.
-func (s *Server) shardFor(id task.ID) *bookShard {
-	return s.shards[uint64(id)%uint64(len(s.shards))]
-}
-
-// snapshotLocked captures the shard's scheduling state as an immutable
+// snapshotLocked captures the book's scheduling state as an immutable
 // quote snapshot, copying the queued tasks so later book mutations never
 // show through — the one publisher that must copy, since the simulator's
-// view is single-threaded and aliases its queue. Callers must hold sh.mu
-// (or run before the accept loop starts).
-func (sh *bookShard) snapshotLocked() *site.QuoteSnapshot {
-	s := sh.s
+// view is single-threaded and aliases its queue. Callers must hold bookMu.
+func (s *Server) snapshotLocked() *site.QuoteSnapshot {
 	qs := &site.QuoteSnapshot{
-		Version:      sh.version.Load(),
+		Version:      s.version,
 		Procs:        s.cfg.Processors,
 		Policy:       s.cfg.Policy,
 		DiscountRate: s.cfg.DiscountRate,
 	}
-	if len(sh.pending) > 0 {
-		qs.Pending = make([]*task.Task, len(sh.pending))
-		qs.Seqs = make([]uint64, len(sh.pending))
-		for i, c := range sh.pending {
+	if len(s.pending) > 0 {
+		qs.Pending = make([]*task.Task, len(s.pending))
+		for i, c := range s.pending {
 			cp := *c.t
 			qs.Pending[i] = &cp
-			qs.Seqs[i] = c.seq
 		}
 	}
-	if len(sh.running) > 0 {
-		qs.Running = make([]site.RunningSlot, 0, len(sh.running))
-		for _, c := range sh.running {
+	if len(s.running) > 0 {
+		qs.Running = make([]site.RunningSlot, 0, len(s.running))
+		for _, c := range s.running {
 			qs.Running = append(qs.Running, site.RunningSlot{Start: c.t.Start, Runtime: c.t.Runtime})
 		}
 	}
 	return qs
 }
 
-// publishLocked rebuilds and publishes the shard's quote snapshot. Callers
-// must hold sh.mu (or run before the accept loop starts).
-func (sh *bookShard) publishLocked() {
-	sh.board.Publish(sh.snapshotLocked())
-	sh.s.m.snapshotPublishes.Inc()
+// publishLocked rebuilds and publishes the book's quote snapshot. Callers
+// must hold bookMu.
+func (s *Server) publishLocked() {
+	s.snap.Store(s.snapshotLocked())
+	s.m.snapshotPublishes.Inc()
 }
 
-// bumpLocked marks the shard's scheduling state changed and republishes its
+// bumpLocked marks the book's scheduling state changed and republishes its
 // snapshot. Every mutation of pending/running must bump before releasing
-// sh.mu, or an award could validate its optimistic quote against a version
-// that no longer describes the live state. Callers must hold sh.mu.
-func (sh *bookShard) bumpLocked() {
-	sh.version.Add(1)
-	sh.publishLocked()
-}
-
-// mergedSnapshot assembles the site-wide quotable view: the k-way merge of
-// every shard's published snapshot, plus the parts themselves for award
-// validation. With one shard the snapshot is the published part untouched
-// and parts is nil.
-func (s *Server) mergedSnapshot() (*site.QuoteSnapshot, []*site.QuoteSnapshot) {
-	if len(s.shards) == 1 {
-		return s.shards[0].board.Load(), nil
-	}
-	parts := make([]*site.QuoteSnapshot, len(s.shards))
-	for i, sh := range s.shards {
-		parts[i] = sh.board.Load()
-	}
-	return site.MergeQuoteSnapshots(parts), parts
-}
-
-// boardsCurrent reports whether every shard's live version still matches
-// the snapshot part it published — the sharded form of the award-time
-// optimistic-quote validation. Shards other than the caller's own (whose
-// lock is held) may move immediately after the check; that window is the
-// same one any lock-free quote already has, and admission re-quotes under
-// the shard lock when it matters.
-func (s *Server) boardsCurrent(snap *site.QuoteSnapshot, parts []*site.QuoteSnapshot) bool {
-	if parts == nil {
-		return snap != nil && s.shards[0].version.Load() == snap.Version
-	}
-	for i, sh := range s.shards {
-		if parts[i] == nil || sh.version.Load() != parts[i].Version {
-			return false
-		}
-	}
-	return true
+// bookMu, or an award could validate its optimistic quote against a
+// version that no longer describes the live state. Callers must hold
+// bookMu.
+func (s *Server) bumpLocked() {
+	s.version++
+	s.publishLocked()
 }
 
 // Addr returns the server's listen address.
@@ -454,22 +372,20 @@ func (s *Server) Close() error {
 // completion timer has not fired, at shutdown. A timer already firing
 // abandons its contract itself.
 func (s *Server) abandonBook() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for len(sh.pending) > 0 {
-			sh.closeLocked(sh.pending[0], obs.OutcomeAbandoned, s.now(), 0, "server closed")
-		}
-		for _, c := range sh.running {
-			if c.timer.Stop() {
-				// The callback will never run; release its drain slot.
-				s.timerWG.Done()
-				c.timer = nil
-				sh.closeLocked(c, obs.OutcomeAbandoned, s.now(), 0, "server closed mid-run")
-			}
-		}
-		s.syncGauges()
-		sh.mu.Unlock()
+	s.bookMu.Lock()
+	defer s.bookMu.Unlock()
+	for len(s.pending) > 0 {
+		s.closeLocked(s.pending[0], obs.OutcomeAbandoned, s.now(), 0, "server closed")
 	}
+	for _, c := range s.running {
+		if c.timer.Stop() {
+			// The callback will never run; release its drain slot.
+			s.timerWG.Done()
+			c.timer = nil
+			s.closeLocked(c, obs.OutcomeAbandoned, s.now(), 0, "server closed mid-run")
+		}
+	}
+	s.syncGaugesLocked()
 }
 
 // now returns the current time in simulation units since server start.
@@ -477,56 +393,53 @@ func (s *Server) now() float64 {
 	return float64(time.Since(s.start)) / float64(s.cfg.TimeScale)
 }
 
-// syncGauges refreshes the site-wide queue-depth and running-task gauges
-// after a scheduler state change.
-func (s *Server) syncGauges() {
-	s.m.Depth(int(s.nQueued.Load()), int(s.nRunning.Load()))
+// syncGaugesLocked refreshes the queue-depth and running-task gauges after
+// a scheduler state change. Callers must hold bookMu.
+func (s *Server) syncGaugesLocked() {
+	s.m.Depth(len(s.pending), len(s.running))
 }
 
 // traceLocked emits lifecycle event e for the contract c, filling in the
-// contract's identity and request ID and the site-wide queue state.
-// Callers must hold sh.mu.
-func (sh *bookShard) traceLocked(c *contract, e obs.TraceEvent) {
-	s := sh.s
+// contract's identity and request ID and the book's queue state. Callers
+// must hold bookMu.
+func (s *Server) traceLocked(c *contract, e obs.TraceEvent) {
 	if s.cfg.Tracer == nil {
 		return
 	}
 	e.Task, e.Req, e.Site = uint64(c.t.ID), c.req, s.cfg.SiteID
-	e.Queued, e.Running = int(s.nQueued.Load()), int(s.nRunning.Load())
+	e.Queued, e.Running = len(s.pending), len(s.running)
 	s.cfg.Tracer.Emit(e)
 }
 
-// bookLocked opens c, unsynced or queued, at the tail of the shard's queue
-// with the next global booking stamp. Callers must hold sh.mu.
-func (sh *bookShard) bookLocked(c *contract) {
-	c.seq = sh.s.seq.Add(1)
-	sh.open[c.t.ID] = c
-	sh.pending = append(sh.pending, c)
+// bookLocked opens c, unsynced or queued, at the tail of the queue with
+// the next booking stamp. Callers must hold bookMu.
+func (s *Server) bookLocked(c *contract) {
+	s.seq++
+	c.seq = s.seq
+	s.open[c.t.ID] = c
+	s.pending = append(s.pending, c)
 	if c.state == stateUnsynced {
-		sh.unsynced[c.t.ID] = c
+		s.unsynced[c.t.ID] = c
 	}
-	sh.s.nQueued.Add(1)
 }
 
-// unqueueLocked drops c from the shard's queue, found by its booking stamp
-// (the queue is in strictly increasing stamp order). Callers must hold
-// sh.mu.
-func (sh *bookShard) unqueueLocked(c *contract) {
-	i := sort.Search(len(sh.pending), func(i int) bool { return sh.pending[i].seq >= c.seq })
-	last := len(sh.pending) - 1
-	copy(sh.pending[i:], sh.pending[i+1:])
-	sh.pending[last] = nil // the backing array must not keep a closed record alive
-	sh.pending = sh.pending[:last]
-	sh.s.nQueued.Add(-1)
+// unqueueLocked drops c from the queue, found by its booking stamp (the
+// queue is in strictly increasing stamp order). Callers must hold bookMu.
+func (s *Server) unqueueLocked(c *contract) {
+	i := sort.Search(len(s.pending), func(i int) bool { return s.pending[i].seq >= c.seq })
+	last := len(s.pending) - 1
+	copy(s.pending[i:], s.pending[i+1:])
+	s.pending[last] = nil // the backing array must not keep a closed record alive
+	s.pending = s.pending[:last]
 }
 
 // syncedLocked accepts c once its journal record is durable: the contract
 // leaves its group-commit window and becomes dispatchable. The caller
-// broadcasts syncCond. Callers must hold sh.mu.
-func (sh *bookShard) syncedLocked(c *contract) {
-	delete(sh.unsynced, c.t.ID)
+// broadcasts syncCond. Callers must hold bookMu.
+func (s *Server) syncedLocked(c *contract) {
+	delete(s.unsynced, c.t.ID)
 	c.state = stateQueued
-	sh.acceptLocked(c)
+	s.acceptLocked(c)
 }
 
 // closeLocked ends the open contract c at time at with the realized price:
@@ -534,22 +447,20 @@ func (sh *bookShard) syncedLocked(c *contract) {
 // client, or refused after a failed sync. The record leaves the book and
 // its indexes; a settled or defaulted contract leaves its compact
 // settlement behind for status queries; and the outcome is booked once
-// into the stats, counters, ledger and trace. Callers must hold sh.mu and
+// into the stats, counters, ledger and trace. Callers must hold bookMu and
 // do their own journaling.
-func (sh *bookShard) closeLocked(c *contract, outcome string, at, price float64, detail string) {
-	s := sh.s
+func (s *Server) closeLocked(c *contract, outcome string, at, price float64, detail string) {
 	t := c.t
-	delete(sh.open, t.ID)
+	delete(s.open, t.ID)
 	switch c.state {
 	case stateUnsynced:
-		delete(sh.unsynced, t.ID)
-		sh.syncCond.Broadcast()
-		sh.unqueueLocked(c)
+		delete(s.unsynced, t.ID)
+		s.syncCond.Broadcast()
+		s.unqueueLocked(c)
 	case stateQueued:
-		sh.unqueueLocked(c)
+		s.unqueueLocked(c)
 	case stateRunning:
-		delete(sh.running, t.ID)
-		s.nRunning.Add(-1)
+		delete(s.running, t.ID)
 	}
 	event := outcome
 	switch outcome {
@@ -562,10 +473,10 @@ func (sh *bookShard) closeLocked(c *contract, outcome string, at, price float64,
 		s.Abandoned++
 		s.mu.Unlock()
 		s.m.abandoned.Inc()
-		sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageAbandon, T: s.now(), Detail: detail})
+		s.traceLocked(c, obs.TraceEvent{Stage: obs.StageAbandon, T: s.now(), Detail: detail})
 	case obs.OutcomeSettled:
 		event = "completed"
-		sh.settled[t.ID] = settlement{T: at, Price: price}
+		s.settled[t.ID] = settlement{T: at, Price: price}
 		s.mu.Lock()
 		s.Completed++
 		s.Revenue += price
@@ -573,10 +484,10 @@ func (sh *bookShard) closeLocked(c *contract, outcome string, at, price float64,
 		s.m.completed.Inc()
 		s.m.Settle(t.Cohort, price)
 		s.m.lateness.Observe(at - c.terms.ExpectedCompletion)
-		sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageComplete, T: at, Value: price, Dur: at - t.Start,
+		s.traceLocked(c, obs.TraceEvent{Stage: obs.StageComplete, T: at, Value: price, Dur: at - t.Start,
 			Cohort: t.Cohort, Client: t.Client})
 	case obs.OutcomeDefaulted:
-		sh.settled[t.ID] = settlement{Defaulted: true, T: at, Price: price}
+		s.settled[t.ID] = settlement{Defaulted: true, T: at, Price: price}
 		s.mu.Lock()
 		s.Defaulted++
 		s.Revenue += price
@@ -626,50 +537,47 @@ func (s *Server) gone(sc *serverConn) {
 
 // dropOwner forgets a disconnected client's contracts: queued tasks are
 // discarded (nobody is left to pay for them), running tasks finish but
-// settle into the void. Only a shard that lost a queued task republishes:
-// orphaning a running task changes no scheduling state, and an idle
+// settle into the void. The book republishes only if it lost a queued
+// task: orphaning a running task changes no scheduling state, and an idle
 // disconnect must not invalidate every in-flight optimistic award.
 func (s *Server) dropOwner(sc *serverConn) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		removed := false
-		for id, c := range sh.open {
-			if c.owner != sc {
-				continue
-			}
-			c.owner, c.req = nil, ""
-			// A running task survives owner loss: the contract is still open,
-			// so its standing terms stay on the book for Query re-adoption and
-			// the eventual settlement.
-			if c.state == stateRunning {
-				s.log.Info("task orphaned mid-run: client disconnected", "task", id)
-				continue
-			}
-			// One timestamp: a restart re-seeds the ledger from the record.
-			now := s.now()
-			sh.closeLocked(c, obs.OutcomeAbandoned, now, 0, "client disconnected")
-			if err := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "client disconnected"}); err != nil {
-				s.log.Warn("journal abandon record failed", "task", id, "err", err.Error())
-			}
-			s.log.Info("dropped queued task: client disconnected", "task", id)
-			removed = true
+	s.bookMu.Lock()
+	defer s.bookMu.Unlock()
+	removed := false
+	for id, c := range s.open {
+		if c.owner != sc {
+			continue
 		}
-		if removed {
-			s.syncGauges()
-			sh.bumpLocked()
+		c.owner, c.req = nil, ""
+		// A running task survives owner loss: the contract is still open,
+		// so its standing terms stay on the book for Query re-adoption and
+		// the eventual settlement.
+		if c.state == stateRunning {
+			s.log.Info("task orphaned mid-run: client disconnected", "task", id)
+			continue
 		}
-		sh.mu.Unlock()
+		// One timestamp: a restart re-seeds the ledger from the record.
+		now := s.now()
+		s.closeLocked(c, obs.OutcomeAbandoned, now, 0, "client disconnected")
+		if err := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "client disconnected"}); err != nil {
+			s.log.Warn("journal abandon record failed", "task", id, "err", err.Error())
+		}
+		s.log.Info("dropped queued task: client disconnected", "task", id)
+		removed = true
+	}
+	if removed {
+		s.syncGaugesLocked()
+		s.bumpLocked()
 	}
 }
 
 // handleBid quotes a bid against the current candidate schedule without
-// committing resources. It ranks the bid against the merged published
-// snapshots with zero lock acquisitions: quoting is a pure read, so any
-// number of bids evaluate in parallel with each other and with the
-// scheduler. Only bookkeeping (reject counters) briefly takes the stats
-// lock.
+// committing resources. It ranks the bid against the published snapshot
+// with zero lock acquisitions: quoting is a pure read, so any number of
+// bids evaluate in parallel with each other and with the scheduler. Only
+// bookkeeping (reject counters) briefly takes the stats lock.
 func (s *Server) handleBid(env Envelope) Envelope {
-	bid, err := env.Bid()
+	bid, err := s.decodeBid(env)
 	if err != nil {
 		return Envelope{Type: TypeError, Reason: err.Error()}
 	}
@@ -686,14 +594,15 @@ func (s *Server) handleBid(env Envelope) Envelope {
 		return s.shedReject(bid, shedReasonInflight, "bid quota exhausted", s.shedFloorNow())
 	}
 	defer s.shed.release()
-	snap, _ := s.mergedSnapshot()
+	snap := s.snap.Load()
 	s.m.snapshotQuotes.Inc()
 	q, err := snap.Quote(s.now(), s.bidTask(bid))
 	if err != nil {
 		return Envelope{Type: TypeError, Reason: err.Error()}
 	}
-	if floor, reason := s.shed.evaluate(int(s.nQueued.Load()), q.ExpectedYield); reason != "" {
-		return s.shedReject(bid, reason, fmt.Sprintf("yield %.2f below floor %.2f at depth %d", q.ExpectedYield, floor, s.nQueued.Load()), floor)
+	depth := len(snap.Pending)
+	if floor, reason := s.shed.evaluate(depth, q.ExpectedYield); reason != "" {
+		return s.shedReject(bid, reason, fmt.Sprintf("yield %.2f below floor %.2f at depth %d", q.ExpectedYield, floor, depth), floor)
 	}
 	s.m.Slack(q.Slack)
 	if !s.cfg.Admission.Admit(q) {
@@ -719,12 +628,13 @@ func (s *Server) handleBid(env Envelope) Envelope {
 
 // traceBid emits a bid-time lifecycle event for a task that may not yet
 // (or ever) have an entry in the live-contract table, carrying the bid's
-// own request ID. Queue and running counts come from the site-wide atomic
-// mirrors, so no lock is needed.
+// own request ID. Queue and running counts come from the published
+// snapshot, so no lock is needed.
 func (s *Server) traceBid(stage string, bid market.Bid, value float64, detail string) {
 	if s.cfg.Tracer == nil {
 		return
 	}
+	snap := s.snap.Load()
 	s.cfg.Tracer.Emit(obs.TraceEvent{
 		Stage:   stage,
 		Task:    uint64(bid.TaskID),
@@ -732,8 +642,8 @@ func (s *Server) traceBid(stage string, bid market.Bid, value float64, detail st
 		Site:    s.cfg.SiteID,
 		T:       s.now(),
 		Value:   value,
-		Queued:  int(s.nQueued.Load()),
-		Running: int(s.nRunning.Load()),
+		Queued:  len(snap.Pending),
+		Running: len(snap.Running),
 		Cohort:  bid.Cohort,
 		Client:  bid.Client,
 		Detail:  detail,
@@ -746,62 +656,61 @@ func (s *Server) traceBid(stage string, bid market.Bid, value float64, detail st
 // error, making awards idempotent so clients can safely retry after a
 // connection-level failure.
 //
-// The award is optimistic-then-validate: the quote is computed
-// lock-free against the merged published snapshots, and only the task's own
-// shard lock is taken to check that every shard's live version still
-// matches its part — a mismatch means the scheduling state moved underneath
-// the quote, and the award re-quotes under the shard lock. The journal
-// append happens under the lock (fixing the contract's place in the record
-// order), but the fsync wait happens outside it via SyncBarrier, so
-// concurrent awards share one group-commit fsync instead of serializing the
-// disk behind the lock. Until the barrier lands, the contract's record is in
-// state unsynced: quotes price it, dispatch skips it, and duplicate awards
-// or queries for it wait — so nothing observable (an ack, a running task,
-// an adopted owner) can outrace the disk.
+// The award is optimistic-then-validate: the quote is computed lock-free
+// against the published snapshot, and under the book lock the award checks
+// that the live version still matches the snapshot's — a mismatch means
+// the scheduling state moved underneath the quote, and the award re-quotes
+// under the lock. The journal append happens under the lock (fixing the
+// contract's place in the record order), but the fsync wait happens
+// outside it via SyncBarrier, so concurrent awards share one group-commit
+// fsync instead of serializing the disk behind the lock. Until the barrier
+// lands, the contract's record is in state unsynced: quotes price it,
+// dispatch skips it, and duplicate awards or queries for it wait — so
+// nothing observable (an ack, a running task, an adopted owner) can
+// outrace the disk.
 func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
-	bid, err := env.Bid()
+	bid, err := s.decodeBid(env)
 	if err != nil {
 		return Envelope{Type: TypeError, Reason: err.Error()}
 	}
 	// Optimistic quote, before any lock.
-	snap, parts := s.mergedSnapshot()
+	snap := s.snap.Load()
 	s.m.snapshotQuotes.Inc()
 	q, qerr := snap.Quote(s.now(), s.bidTask(bid))
 
-	sh := s.shardFor(bid.TaskID)
-	sh.mu.Lock()
+	s.bookMu.Lock()
 	// An award racing a contract still inside a group-commit window waits
 	// for the barrier: the book cannot answer until the journal does.
-	sh.waitSyncedLocked(bid.TaskID)
+	s.waitSyncedLocked(bid.TaskID)
 	// Idempotency is keyed off the contract book, which the journal rebuilds
 	// across restarts: a client retrying an award after a site crash gets
 	// its standing terms back, not a second contract.
-	if c := sh.open[bid.TaskID]; c != nil {
+	if c := s.open[bid.TaskID]; c != nil {
 		c.owner = sc // the retrying connection owns the settlement now
 		if bid.ReqID != "" {
 			c.req = bid.ReqID
 		}
-		sh.mu.Unlock()
+		s.bookMu.Unlock()
 		return contractReply(c.terms)
 	}
 	// A retried award whose contract already settled (the run beat the
 	// retry) reports the closed contract instead of executing it twice.
-	if st, ok := sh.settled[bid.TaskID]; ok {
-		sh.mu.Unlock()
+	if st, ok := s.settled[bid.TaskID]; ok {
+		s.bookMu.Unlock()
 		return s.statusEnvelope(bid.TaskID, st)
 	}
-	// Validate the optimistic quote: if no shard's scheduling state has
-	// moved since its snapshot was published, the lock-free quote is what a
+	// Validate the optimistic quote: if the scheduling state has not moved
+	// since the snapshot was published, the lock-free quote is what a
 	// locked re-quote would compute and is honored as-is.
-	if qerr == nil && s.boardsCurrent(snap, parts) {
+	if qerr == nil && snap.Version == s.version {
 		s.m.validateMatch.Inc()
 	} else {
 		s.m.validateMismatch.Inc()
 		s.m.lockedQuotes.Inc()
-		q, qerr = sh.quoteLocked(bid)
+		q, qerr = s.quoteLocked(bid)
 	}
 	if qerr != nil {
-		sh.mu.Unlock()
+		s.bookMu.Unlock()
 		return Envelope{Type: TypeError, Reason: qerr.Error()}
 	}
 	s.m.Slack(q.Slack)
@@ -812,7 +721,7 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 		s.m.rejected.Inc()
 		s.m.Cohort(bid.Cohort, "rejected")
 		s.traceBid(obs.StageReject, bid, q.Slack, "mix changed since proposal")
-		sh.mu.Unlock()
+		s.bookMu.Unlock()
 		return Envelope{Type: TypeReject, TaskID: bid.TaskID, SiteID: s.cfg.SiteID,
 			Reason: "mix changed since proposal"}
 	}
@@ -820,17 +729,18 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	// reserves a slot, so this is the only gate that actually bounds the
 	// book. Deadline expiry deliberately does not apply — an award is a
 	// commitment the client already made, not a quote that can go stale.
-	if floor, reason := s.shed.evaluate(int(s.nQueued.Load()), q.ExpectedYield); reason != "" {
-		sh.mu.Unlock()
-		return s.shedReject(bid, reason, fmt.Sprintf("yield %.2f below floor %.2f at depth %d", q.ExpectedYield, floor, s.nQueued.Load()), floor)
+	depth := len(s.pending)
+	if floor, reason := s.shed.evaluate(depth, q.ExpectedYield); reason != "" {
+		s.bookMu.Unlock()
+		return s.shedReject(bid, reason, fmt.Sprintf("yield %.2f below floor %.2f at depth %d", q.ExpectedYield, floor, depth), floor)
 	}
 	s.shed.observeAdmit(q.ExpectedYield)
 	t := s.bidTask(bid)
 	t.State = task.Queued
 	sb := market.ServerBid{SiteID: s.cfg.SiteID, TaskID: t.ID,
 		ExpectedCompletion: q.ExpectedCompletion, ExpectedPrice: q.ExpectedYield}
-	// Append under the shard lock — the record order matches the book order
-	// within the shard — but do not wait for the disk here.
+	// Append under the book lock — the record order matches the book order —
+	// but do not wait for the disk here.
 	idx, journaled, jerr := s.appendRecordIdx(contractRecord{
 		Kind: recContract, TaskID: t.ID, Req: bid.ReqID,
 		Arrival: t.Arrival, Runtime: t.Runtime, Value: t.Value,
@@ -839,7 +749,7 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 		Cohort: t.Cohort, Client: t.Client,
 	})
 	if jerr != nil {
-		sh.mu.Unlock()
+		s.bookMu.Unlock()
 		s.log.Warn("journal write failed, refusing award", "task", t.ID, "err", jerr.Error())
 		return Envelope{Type: TypeError, Reason: "site journal unavailable"}
 	}
@@ -847,18 +757,18 @@ func (s *Server) handleAward(env Envelope, sc *serverConn) Envelope {
 	if journaled {
 		c.state, c.idx = stateUnsynced, idx
 	}
-	sh.bookLocked(c)
-	s.syncGauges()
-	sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageContract, T: s.now()})
-	sh.bumpLocked()
+	s.bookLocked(c)
+	s.syncGaugesLocked()
+	s.traceLocked(c, obs.TraceEvent{Stage: obs.StageContract, T: s.now()})
+	s.bumpLocked()
 	if !journaled {
 		// Memory-only site: nothing to wait for, finish the award inline.
-		sh.acceptLocked(c)
-		sh.mu.Unlock()
-		s.dispatch()
+		s.acceptLocked(c)
+		s.dispatchLocked()
+		s.bookMu.Unlock()
 		return contractReply(sb)
 	}
-	sh.mu.Unlock()
+	s.bookMu.Unlock()
 
 	// Wait for durability outside the lock. Concurrent awards waiting here
 	// share one fsync round; the ack below still never outruns the disk.
@@ -888,9 +798,8 @@ func contractReply(sb market.ServerBid) Envelope {
 // acceptLocked books a contract as accepted once nothing can refuse it any
 // more — at the award itself on a memory-only site, at the durability
 // barrier otherwise: the accepted counters, the ledger entry with the
-// standing terms, and the acceptance log line. Callers must hold sh.mu.
-func (sh *bookShard) acceptLocked(c *contract) {
-	s := sh.s
+// standing terms, and the acceptance log line. Callers must hold bookMu.
+func (s *Server) acceptLocked(c *contract) {
 	t, sb := c.t, c.terms
 	s.mu.Lock()
 	s.Accepted++
@@ -913,44 +822,38 @@ func (sh *bookShard) acceptLocked(c *contract) {
 }
 
 // waitSyncedLocked blocks while id's contract sits inside a group-commit
-// window. Callers must hold sh.mu.
-func (sh *bookShard) waitSyncedLocked(id task.ID) {
-	for sh.unsynced[id] != nil {
-		sh.syncCond.Wait()
+// window. Callers must hold bookMu.
+func (s *Server) waitSyncedLocked(id task.ID) {
+	for s.unsynced[id] != nil {
+		s.syncCond.Wait()
 	}
 }
 
 // finishDurableAwards completes the bookkeeping for every award the
 // journal's durability frontier now covers: accepted counters, the
 // acceptance log line, and one dispatch for the whole batch. The first
-// finisher of a group-commit round sweeps every shard for everyone in it;
+// finisher of a group-commit round sweeps the book for everyone in it;
 // awards that find the swept frontier already past their record skip the
-// locks entirely, so the post-barrier cost is per round, not per award.
+// lock entirely, so the post-barrier cost is per round, not per award.
 func (s *Server) finishDurableAwards(idx uint64) {
 	if s.swept.Load() > idx {
 		return
 	}
 	durableIdx := s.j.Durable()
+	s.bookMu.Lock()
 	finished := false
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		shardFinished := false
-		for _, c := range sh.unsynced {
-			if c.idx >= durableIdx {
-				continue
-			}
-			sh.syncedLocked(c)
-			shardFinished = true
+	for _, c := range s.unsynced {
+		if c.idx >= durableIdx {
+			continue
 		}
-		if shardFinished {
-			sh.syncCond.Broadcast()
-			finished = true
-		}
-		sh.mu.Unlock()
+		s.syncedLocked(c)
+		finished = true
 	}
 	if finished {
-		s.dispatch()
+		s.syncCond.Broadcast()
+		s.dispatchLocked()
 	}
+	s.bookMu.Unlock()
 	for {
 		cur := s.swept.Load()
 		if cur >= durableIdx || s.swept.CompareAndSwap(cur, durableIdx) {
@@ -973,32 +876,42 @@ func (s *Server) finishDurableAwards(idx uint64) {
 // book already; its award is decided the same way.
 func (s *Server) rollbackUnsyncedAward(c *contract, serr error) bool {
 	id := c.t.ID
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	booked := sh.unsynced[id] == c
+	s.bookMu.Lock()
+	booked := s.unsynced[id] == c
 	if c.state != stateUnsynced || s.j.Durable() > c.idx {
 		if booked {
-			sh.syncedLocked(c)
-			sh.syncCond.Broadcast()
+			s.syncedLocked(c)
+			s.syncCond.Broadcast()
+			s.dispatchLocked()
 		}
-		sh.mu.Unlock()
-		if booked {
-			s.dispatch()
-		}
+		s.bookMu.Unlock()
 		return false
 	}
 	now := s.now()
 	if booked {
-		sh.closeLocked(c, outcomeRefused, now, 0, "")
-		s.syncGauges()
-		sh.bumpLocked()
+		s.closeLocked(c, outcomeRefused, now, 0, "")
+		s.syncGaugesLocked()
+		s.bumpLocked()
 	}
 	if aerr := s.appendRecord(contractRecord{Kind: recAbandon, TaskID: id, T: now, Reason: "award refused: journal sync failed"}); aerr != nil {
 		s.log.Warn("journal abandon record failed", "task", id, "err", aerr.Error())
 	}
-	sh.mu.Unlock()
+	s.bookMu.Unlock()
 	s.log.Warn("journal sync failed, refusing award", "task", id, "err", serr.Error())
 	return true
+}
+
+// decodeBid decodes a bid or award's terms and refuses a runtime longer
+// than the site's completion timer can run: past math.MaxInt64 nanoseconds
+// the timer's duration would wrap negative and the task would settle at
+// once, long before its contracted completion.
+func (s *Server) decodeBid(env Envelope) (market.Bid, error) {
+	bid, err := env.Bid()
+	if err == nil && bid.Runtime*float64(s.cfg.TimeScale) >= math.MaxInt64 {
+		err = fmt.Errorf("wire: bid for task %d has runtime %g, longer than the site's timer can run at %v per unit",
+			bid.TaskID, bid.Runtime, s.cfg.TimeScale)
+	}
+	return bid, err
 }
 
 // bidTask materializes the bid as a task arriving now in server time. The
@@ -1012,100 +925,55 @@ func (s *Server) bidTask(bid market.Bid) *task.Task {
 	return t
 }
 
-// quoteLocked evaluates a bid with the shard lock held: the shard's own
-// part is rebuilt from its live state, the other shards contribute their
-// latest published snapshots, and the merge is priced exactly as the
-// lock-free path would. With one shard this is the full locked quote of
-// the pre-shard server, bit for bit.
-func (sh *bookShard) quoteLocked(bid market.Bid) (admission.Quote, error) {
-	s := sh.s
+// quoteLocked evaluates a bid against a snapshot of the live book, priced
+// exactly as the lock-free path would. Callers must hold bookMu.
+func (s *Server) quoteLocked(bid market.Bid) (admission.Quote, error) {
 	// Live servers quote at wall-clock instants, so consecutive quotes
 	// never share a snapshot's cached base candidate: every evaluation
 	// ranks the book afresh (one ranking plus an insertion when the policy
 	// has a key, a full build otherwise), counted as a cache miss so the
 	// site_quote_reuse series is comparable with the simulator's.
 	s.m.QuoteReuse(false)
-	probe := s.bidTask(bid)
-	if len(s.shards) == 1 {
-		return sh.snapshotLocked().Quote(s.now(), probe)
-	}
-	parts := make([]*site.QuoteSnapshot, len(s.shards))
-	for i, other := range s.shards {
-		if other == sh {
-			parts[i] = sh.snapshotLocked()
-		} else {
-			parts[i] = other.board.Load()
-		}
-	}
-	return site.MergeQuoteSnapshots(parts).Quote(s.now(), probe)
+	return s.snapshotLocked().Quote(s.now(), s.bidTask(bid))
 }
 
-// dispatch starts pending tasks while processors are free. The planner
-// locks every shard (ascending, under dispatchMu) and plans over the
-// merged queue in global arrival order, so the processor pool is a single
-// site-wide resource and start decisions are invariant in the shard count.
-// Each started task's completion timer is tracked so Close can cancel it
-// or wait for its callback to drain.
-func (s *Server) dispatch() {
-	s.dispatchMu.Lock()
-	defer s.dispatchMu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	s.dispatchAllLocked()
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-}
-
-// dispatchAllLocked is the planner body. Callers must hold dispatchMu and
-// every shard lock.
-func (s *Server) dispatchAllLocked() {
+// dispatchLocked starts queued tasks, best first as the policy ranks
+// them, while processors are free. Each started task's completion
+// timer is tracked so Close can cancel it or wait for its callback to
+// drain. Callers must hold bookMu.
+func (s *Server) dispatchLocked() {
 	if s.ep.isClosed() {
 		return
 	}
 	now := s.now()
-	free := s.cfg.Processors - int(s.nRunning.Load())
+	free := s.cfg.Processors - len(s.running)
 	// Contracts still inside a group-commit window are quotable but not
 	// startable: if their sync fails the award is rolled back, and rollback
 	// must only ever touch the queue, never a running timer.
-	queued := make([]*contract, 0, s.nQueued.Load())
-	for _, sh := range s.shards {
-		for _, c := range sh.pending {
-			if c.state == stateQueued {
-				queued = append(queued, c)
-			}
+	eligible := make([]*task.Task, 0, len(s.pending))
+	for _, c := range s.pending {
+		if c.state == stateQueued {
+			eligible = append(eligible, c.t)
 		}
-	}
-	if len(s.shards) > 1 {
-		// Merge the shards' queues back into global arrival order.
-		sort.Slice(queued, func(i, j int) bool { return queued[i].seq < queued[j].seq })
-	}
-	eligible := make([]*task.Task, len(queued))
-	for i, c := range queued {
-		eligible[i] = c.t
 	}
 	starts, ranks := core.PlanStarts(s.cfg.Policy, now, free, eligible)
 	if ranks > 0 {
 		s.m.RankOps(ranks)
 	}
-	touched := make(map[*bookShard]struct{}, len(starts))
 	for _, t := range starts {
-		sh := s.shardFor(t.ID)
-		c := sh.open[t.ID]
-		sh.unqueueLocked(c)
+		c := s.open[t.ID]
+		s.unqueueLocked(c)
 		c.state = stateRunning
 		t.State = task.Running
 		t.Start = now
-		sh.running[t.ID] = c
-		s.nRunning.Add(1)
+		s.running[t.ID] = c
 		if err := s.appendRecord(contractRecord{Kind: recStart, TaskID: t.ID, T: now}); err != nil {
 			// Non-fatal: a lost start record only weakens the crash regime
 			// (the task recovers as queued instead of crash-preempted).
 			s.log.Warn("journal start record failed", "task", t.ID, "err", err.Error())
 		}
-		s.syncGauges()
-		sh.traceLocked(c, obs.TraceEvent{Stage: obs.StageStart, T: s.now()})
+		s.syncGaugesLocked()
+		s.traceLocked(c, obs.TraceEvent{Stage: obs.StageStart, T: s.now()})
 		s.log.Info("running task", "task", t.ID, "runtime", t.Runtime)
 		dur := time.Duration(t.Runtime * float64(s.cfg.TimeScale))
 		s.timerWG.Add(1)
@@ -1113,25 +981,23 @@ func (s *Server) dispatchAllLocked() {
 			defer s.timerWG.Done()
 			s.complete(c)
 		})
-		touched[sh] = struct{}{}
 	}
-	for sh := range touched {
-		sh.bumpLocked()
+	if len(starts) > 0 {
+		s.bumpLocked()
 	}
 }
 
 // complete settles a running contract when its completion timer fires.
 func (s *Server) complete(c *contract) {
 	t := c.t
-	sh := s.shardFor(t.ID)
-	sh.mu.Lock()
+	s.bookMu.Lock()
 	c.timer = nil
 	if s.ep.isClosed() {
 		// Shutdown racing the timer: abandon rather than settle, so no
 		// settlement is sent after Close returns.
-		sh.closeLocked(c, obs.OutcomeAbandoned, s.now(), 0, "server closed mid-run")
-		s.syncGauges()
-		sh.mu.Unlock()
+		s.closeLocked(c, obs.OutcomeAbandoned, s.now(), 0, "server closed mid-run")
+		s.syncGaugesLocked()
+		s.bookMu.Unlock()
 		return
 	}
 	now := s.now()
@@ -1143,18 +1009,16 @@ func (s *Server) complete(c *contract) {
 		s.log.Warn("journal settle record failed", "task", t.ID, "err", err.Error())
 	}
 	owner, req := c.owner, c.req
-	sh.closeLocked(c, obs.OutcomeSettled, now, t.Yield, "")
-	s.syncGauges()
-	sh.bumpLocked()
+	s.closeLocked(c, obs.OutcomeSettled, now, t.Yield, "")
+	s.syncGaugesLocked()
+	s.bumpLocked()
+	s.dispatchLocked()
+	s.bookMu.Unlock()
+
 	// A settle record under FsyncAlways must be durable before the
 	// settlement push, as it was when Append synced inline; it rides the
 	// shared group-commit barrier, outside the lock.
-	settleSync := settleJournaled && s.cfg.Fsync == durable.FsyncAlways
-	sh.mu.Unlock()
-
-	s.dispatch()
-
-	if settleSync {
+	if settleJournaled && s.cfg.Fsync == durable.FsyncAlways {
 		if serr := s.j.SyncBarrier(settleIdx); serr != nil {
 			s.log.Warn("journal settle sync failed", "task", t.ID, "err", serr.Error())
 		}
@@ -1191,17 +1055,16 @@ func (s *Server) complete(c *contract) {
 // settlement push it would otherwise never receive.
 func (s *Server) handleQuery(env Envelope, sc *serverConn) Envelope {
 	id := env.TaskID
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	s.bookMu.Lock()
+	defer s.bookMu.Unlock()
 	// A query racing a contract inside a group-commit window waits for the
 	// barrier: adopting an owner for a contract that may yet be refused
 	// would leak an observable effect past a failed sync.
-	sh.waitSyncedLocked(id)
-	if st, ok := sh.settled[id]; ok {
+	s.waitSyncedLocked(id)
+	if st, ok := s.settled[id]; ok {
 		return s.statusEnvelope(id, st)
 	}
-	if c := sh.open[id]; c != nil {
+	if c := s.open[id]; c != nil {
 		c.owner = sc
 		if env.ReqID != "" {
 			c.req = env.ReqID

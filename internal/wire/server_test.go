@@ -2,6 +2,7 @@ package wire
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -247,5 +248,68 @@ func TestNewServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer("127.0.0.1:0", ServerConfig{Processors: 1}); err == nil {
 		t.Error("accepted nil policy")
+	}
+}
+
+// TestServerBidAllocs guards the live bid path's allocations: a quote
+// against a book 64 contracts deep is one ranking of the published
+// snapshot plus an insertion, so handleBid allocates a fixed handful of
+// buffers whatever the depth. The server is configured with Shards: 2,
+// which the book ignores. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestServerBidAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by the race detector")
+	}
+	const maxPerBid = 9
+	srv := startServer(t, ServerConfig{Processors: 1, Shards: 2, TimeScale: time.Second})
+	c := dialServer(t, srv)
+	for id := task.ID(1); id <= 65; id++ { // one running, 64 queued behind it
+		awardTask(t, c, id, 1000+float64(id))
+	}
+	if book := srv.countBook(); book.pending != 64 || book.running != 1 {
+		t.Fatalf("book = %+v, want 64 queued and 1 running", book)
+	}
+	env := BidEnvelope(testBid(1000, 20))
+	perBid := testing.AllocsPerRun(200, func() {
+		if reply := srv.handleBid(env); reply.Type != TypeServerBid {
+			t.Fatalf("bid answered %+v", reply)
+		}
+	})
+	t.Logf("%.1f allocations per bid", perBid)
+	if perBid > maxPerBid {
+		t.Errorf("%.1f allocations per bid, want <= %d", perBid, maxPerBid)
+	}
+}
+
+// TestServerRefusesRuntimePastTimerRange: a runtime whose wall-clock run
+// overflows the completion timer's time.Duration is refused at propose and
+// at award with an error naming the runtime. Were it contracted, the
+// wrapped timer would settle it at once, long before the contracted
+// completion.
+func TestServerRefusesRuntimePastTimerRange(t *testing.T) {
+	srv := startServer(t, ServerConfig{Processors: 1, TimeScale: time.Millisecond})
+	c := dialServer(t, srv)
+	settled := make(chan Envelope, 1)
+	c.SetOnSettled(func(e Envelope) { settled <- e })
+	bid := testBid(1, 1e13) // 1e13 units of 1 ms is past math.MaxInt64 ns
+	const named = "runtime 1e+13"
+	if sb, ok, err := c.Propose(bid); err == nil || !strings.Contains(err.Error(), named) {
+		t.Errorf("propose = %+v, %v, %v; want an error naming the %s", sb, ok, err, named)
+	}
+	terms, ok, err := c.Award(bid, market.ServerBid{SiteID: srv.cfg.SiteID, TaskID: 1, ExpectedCompletion: 1e13})
+	if err == nil || !strings.Contains(err.Error(), named) {
+		t.Errorf("award = %+v, %v, %v; want an error naming the %s", terms, ok, err, named)
+	}
+	if !ok {
+		return
+	}
+	select {
+	case e := <-settled:
+		if e.CompletedAt < terms.ExpectedCompletion {
+			t.Fatalf("task settled at %v for %v, before its contracted completion %v",
+				e.CompletedAt, e.FinalPrice, terms.ExpectedCompletion)
+		}
+	case <-time.After(time.Second):
 	}
 }

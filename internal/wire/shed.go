@@ -125,7 +125,7 @@ func (s *Server) shedFloorNow() float64 {
 	if s.shed.maxPending <= 0 {
 		return 0
 	}
-	return s.shed.floorAt(int(s.nQueued.Load()))
+	return s.shed.floorAt(len(s.snap.Load().Pending))
 }
 
 // shedReject books one shed refusal and frames the fast priced reject:
