@@ -104,10 +104,13 @@ func price(t *task.Task, now float64, slot core.Slot, behind []*task.Task, disco
 }
 
 // Policy decides whether a quoted task is worth accepting into the current
-// task mix.
+// task mix. ReadsQuote reports whether Admit looks at its quote at all; a
+// policy that does not lets a site skip pricing the bid (Equations 7-8)
+// when nothing else reads the price either.
 type Policy interface {
 	Name() string
 	Admit(q Quote) bool
+	ReadsQuote() bool
 }
 
 // AcceptAll admits every task. It models the constrained scheduler of
@@ -120,6 +123,9 @@ func (AcceptAll) Name() string { return "accept-all" }
 
 // Admit implements Policy.
 func (AcceptAll) Admit(Quote) bool { return true }
+
+// ReadsQuote implements Policy: every task is admitted unpriced.
+func (AcceptAll) ReadsQuote() bool { return false }
 
 // SlackThreshold rejects tasks whose slack falls below Threshold
 // (Section 6). Higher thresholds are more risk-averse: the paper shows the
@@ -134,6 +140,9 @@ func (p SlackThreshold) Name() string { return fmt.Sprintf("slack(threshold=%g)"
 // Admit implements Policy.
 func (p SlackThreshold) Admit(q Quote) bool { return q.Slack >= p.Threshold }
 
+// ReadsQuote implements Policy.
+func (SlackThreshold) ReadsQuote() bool { return true }
+
 // MinYield rejects tasks whose expected yield in the candidate schedule is
 // below Threshold. It is a simpler reward-only policy kept as a comparison
 // point: unlike slack, it ignores the cost a task imposes on the mix.
@@ -146,3 +155,6 @@ func (p MinYield) Name() string { return fmt.Sprintf("min-yield(threshold=%g)", 
 
 // Admit implements Policy.
 func (p MinYield) Admit(q Quote) bool { return q.ExpectedYield >= p.Threshold }
+
+// ReadsQuote implements Policy.
+func (MinYield) ReadsQuote() bool { return true }

@@ -130,6 +130,23 @@ func TestAcceptAll(t *testing.T) {
 	}
 }
 
+// TestReadsQuote pins which policies a site must price bids for: only
+// accept-all decides without looking at the quote.
+func TestReadsQuote(t *testing.T) {
+	for _, c := range []struct {
+		p    Policy
+		want bool
+	}{
+		{AcceptAll{}, false},
+		{SlackThreshold{Threshold: 180}, true},
+		{MinYield{Threshold: 10}, true},
+	} {
+		if got := c.p.ReadsQuote(); got != c.want {
+			t.Errorf("%s ReadsQuote() = %v, want %v", c.p.Name(), got, c.want)
+		}
+	}
+}
+
 func TestMinYield(t *testing.T) {
 	p := MinYield{Threshold: 10}
 	if p.Admit(Quote{ExpectedYield: 9}) || !p.Admit(Quote{ExpectedYield: 10}) {

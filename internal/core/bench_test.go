@@ -26,9 +26,11 @@ func benchTasks(n int, bounded bool) []*task.Task {
 
 func benchPolicy(b *testing.B, p Policy, n int, bounded bool) {
 	tasks := benchTasks(n, bounded)
+	var dst []float64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Priorities(1000, tasks)
+		dst = p.Priorities(dst, 1000, tasks)
 	}
 	b.ReportMetric(float64(n), "tasks")
 }

@@ -44,22 +44,28 @@ func unboundedSet(tasks []*task.Task) bool {
 // formulation instead, the reference the tests and benchmarks compare the
 // fast paths against.
 func OpportunityCosts(now float64, tasks []*task.Task, forceGeneral bool) []float64 {
+	return opportunityCosts(nil, now, tasks, forceGeneral)
+}
+
+// opportunityCosts is OpportunityCosts writing into dst's capacity, as
+// Policy.Priorities does.
+func opportunityCosts(dst []float64, now float64, tasks []*task.Task, forceGeneral bool) []float64 {
 	if forceGeneral {
-		return generalCosts(now, tasks)
+		return generalCosts(dst, now, tasks)
 	}
 	if unboundedSet(tasks) {
-		return unboundedCosts(tasks)
+		return unboundedCosts(dst, tasks)
 	}
-	return sortedCosts(now, tasks)
+	return sortedCosts(dst, now, tasks)
 }
 
 // unboundedCosts evaluates Equation 5: cost_i = RPT_i * (sum(d_j) - d_i).
-func unboundedCosts(tasks []*task.Task) []float64 {
+func unboundedCosts(dst []float64, tasks []*task.Task) []float64 {
 	var total float64
 	for _, t := range tasks {
 		total += t.Decay
 	}
-	costs := make([]float64, len(tasks))
+	costs := resize(dst, len(tasks))
 	for i, t := range tasks {
 		costs[i] = t.RPT * (total - t.Decay)
 	}
@@ -67,9 +73,9 @@ func unboundedCosts(tasks []*task.Task) []float64 {
 }
 
 // generalCosts evaluates Equation 4 directly in O(n^2).
-func generalCosts(now float64, tasks []*task.Task) []float64 {
+func generalCosts(dst []float64, now float64, tasks []*task.Task) []float64 {
 	rem := remainingDecayTimes(now, tasks)
-	costs := make([]float64, len(tasks))
+	costs := resize(dst, len(tasks))
 	for i, ti := range tasks {
 		var c float64
 		for j, tj := range tasks {
@@ -86,7 +92,7 @@ func generalCosts(now float64, tasks []*task.Task) []float64 {
 // costScratch holds the working buffers sortedCosts needs per call. The
 // kernel sits on the dispatch hot path and is invoked once per scheduling
 // event (or, for unstable policies, once per start), so the buffers are
-// pooled rather than reallocated; only the returned costs slice escapes.
+// pooled rather than reallocated; the costs go to the caller's buffer.
 type costScratch struct {
 	rem       []float64
 	prefixDR  []float64
@@ -117,7 +123,7 @@ func (s *costScratch) grow(n int) {
 // remaining decay time r_j; for a candidate with remaining work R, tasks
 // with r_j <= R contribute d_j*r_j and the rest contribute d_j*R, both
 // available from prefix sums after the sort.
-func sortedCosts(now float64, tasks []*task.Task) []float64 {
+func sortedCosts(dst []float64, now float64, tasks []*task.Task) []float64 {
 	n := len(tasks)
 	scratch := costScratchPool.Get().(*costScratch)
 	defer costScratchPool.Put(scratch)
@@ -158,7 +164,7 @@ func sortedCosts(now float64, tasks []*task.Task) []float64 {
 		sortedRem[k] = rem[idx]
 	}
 
-	costs := make([]float64, n)
+	costs := resize(dst, n)
 	for i, ti := range tasks {
 		r := ti.RPT
 		// Tasks with rem <= r contribute d*rem; the rest contribute d*r.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/task"
 )
@@ -29,7 +30,26 @@ import (
 // floats, same tie breaks) without the seed's per-start full sort.
 //
 // pending is not mutated. len(starts) == min(free, len(pending)).
+// PlanStarts allocates its buffers afresh; a dispatcher that plans every
+// scheduling event keeps a Planner instead.
 func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (starts []*task.Task, rankOps int) {
+	return new(Planner).PlanStarts(policy, now, free, pending)
+}
+
+// Planner holds the buffers PlanStarts ranks and selects into, so a
+// dispatcher that plans every scheduling event allocates nothing once they
+// have grown to its queue depth. The zero value is ready. A Planner is not
+// safe for concurrent use, and the starts it returns are valid only until
+// its next call.
+type Planner struct {
+	prios  []float64    // one ranking pass's priorities
+	top    []int        // selectTop's heap of pending indexes
+	rest   []*task.Task // the unstable path's surviving set
+	starts []*task.Task
+}
+
+// PlanStarts is the package function PlanStarts, ranking into p's buffers.
+func (p *Planner) PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (starts []*task.Task, rankOps int) {
 	if free <= 0 || len(pending) == 0 {
 		return nil, 0
 	}
@@ -39,7 +59,8 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	}
 
 	if StableUnderRemoval(policy, pending) {
-		return selectTop(policy.Priorities(now, pending), pending, n), 1
+		p.prios = policy.Priorities(p.prios, now, pending)
+		return p.selectTop(pending, n), 1
 	}
 
 	// Unstable path: re-rank the surviving set before each start. The
@@ -47,10 +68,11 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 	// the tasks in the same slice order the seed's pending queue would
 	// have, keeping floating-point accumulation — and therefore selection —
 	// bit-identical to the seed.
-	rest := append([]*task.Task(nil), pending...)
-	starts = make([]*task.Task, 0, n)
+	rest := append(p.rest[:0], pending...)
+	starts = p.starts[:0]
 	for len(starts) < n {
-		prios := policy.Priorities(now, rest)
+		prios := policy.Priorities(p.prios, now, rest)
+		p.prios = prios
 		rankOps++
 		best := 0
 		for i := 1; i < len(rest); i++ {
@@ -61,23 +83,26 @@ func PlanStarts(policy Policy, now float64, free int, pending []*task.Task) (sta
 		starts = append(starts, rest[best])
 		rest = append(rest[:best], rest[best+1:]...)
 	}
+	p.rest, p.starts = rest, starts
 	return starts, rankOps
 }
 
 // selectTop returns the first n tasks of the stable sort of pending under
-// compareRank, in order, without sorting the rest: a heap of the n best
-// seen so far, rooted at the one ranked last. Ties the comparator leaves
-// (equal priority and ID) break by position in pending, as the stable sort
-// breaks them, so the order is total and the prefix exact. A NaN priority
-// is not ordered against the others; then the stable sort itself decides.
-func selectTop(prios []float64, pending []*task.Task, n int) []*task.Task {
+// compareRank, given their priorities in p.prios, in order, without sorting
+// the rest: a heap of the n best seen so far, rooted at the one ranked
+// last. Ties the comparator leaves (equal priority and ID) break by
+// position in pending, as the stable sort breaks them, so the order is
+// total and the prefix exact. A NaN priority is not ordered against the
+// others; then the stable sort itself decides.
+func (p *Planner) selectTop(pending []*task.Task, n int) []*task.Task {
+	prios := p.prios
 	ahead := func(i, j int) bool {
-		if c := compareRank(rankedTask{prios[i], pending[i]}, rankedTask{prios[j], pending[j]}); c != 0 {
+		if c := compareRank(prios[i], pending[i], prios[j], pending[j]); c != 0 {
 			return c < 0
 		}
 		return i < j
 	}
-	top := make([]int, 0, n)
+	top := p.top[:0]
 	// down restores the heap below k: no index ranks behind its parent.
 	down := func(k int) {
 		for {
@@ -95,8 +120,8 @@ func selectTop(prios []float64, pending []*task.Task, n int) []*task.Task {
 			k = last
 		}
 	}
-	for i, p := range prios {
-		if math.IsNaN(p) {
+	for i, pr := range prios {
+		if math.IsNaN(pr) {
 			return sortRanked(prios, pending)[:n]
 		}
 		if len(top) < n {
@@ -114,13 +139,15 @@ func selectTop(prios []float64, pending []*task.Task, n int) []*task.Task {
 			down(0)
 		}
 	}
+	p.top = top[:0]
 	// Pop the last-ranked into the last open start until the heap is empty.
-	starts := make([]*task.Task, len(top))
+	starts := slices.Grow(p.starts[:0], len(top))[:len(top)]
 	for k := len(top) - 1; k >= 0; k-- {
 		starts[k] = pending[top[0]]
 		top[0] = top[k]
 		top = top[:k]
 		down(0)
 	}
+	p.starts = starts
 	return starts
 }

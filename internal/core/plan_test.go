@@ -57,11 +57,11 @@ func (p generalFirstReward) Name() string {
 	return fmt.Sprintf("FirstRewardGeneral(alpha=%g,rate=%g)", p.Alpha, p.DiscountRate)
 }
 
-func (p generalFirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
+func (p generalFirstReward) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
 	costs := OpportunityCosts(now, tasks, true)
-	out := make([]float64, len(tasks))
+	out := dst[:0]
 	for i, t := range tasks {
-		out[i] = (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*costs[i]) / t.RPT
+		out = append(out, (p.Alpha*PV(t, now, p.DiscountRate)-(1-p.Alpha)*costs[i])/t.RPT)
 	}
 	return out
 }

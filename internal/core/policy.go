@@ -11,19 +11,25 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/task"
 )
 
-// Policy ranks a set of competing tasks at an instant. Priorities returns
-// one priority per task, aligned with the input slice; higher priorities
-// run first. Policies receive the entire competing set at once so that
-// heuristics with cross-task terms (opportunity cost) can share work across
-// tasks.
+// Policy ranks a set of competing tasks at an instant. Priorities writes
+// one priority per task into dst[:0], aligned with the input slice, and
+// returns it; higher priorities run first. dst may be nil: its contents
+// are ignored and only its capacity is reused, so a caller that ranks
+// repeatedly into the returned slice allocates nothing once it has grown.
+// Policies receive the entire competing set at once so that heuristics
+// with cross-task terms (opportunity cost) can share work across tasks.
 type Policy interface {
 	Name() string
-	Priorities(now float64, tasks []*task.Task) []float64
+	Priorities(dst []float64, now float64, tasks []*task.Task) []float64
 }
+
+// resize returns dst with length n, reusing its capacity when it suffices.
+func resize(dst []float64, n int) []float64 { return slices.Grow(dst[:0], n)[:n] }
 
 // StableRanker is an optional Policy capability. A policy reports
 // StableUnderRemoval() == true when the relative ranking of any two tasks
@@ -76,8 +82,8 @@ type FCFS struct{}
 func (FCFS) Name() string { return "FCFS" }
 
 // Priorities implements Policy: earlier arrivals get higher priority.
-func (FCFS) Priorities(_ float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (FCFS) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = -t.Arrival
 	}
@@ -101,8 +107,8 @@ func (SRPT) Name() string { return "SRPT" }
 
 // Priorities implements Policy: shorter remaining time gets higher
 // priority.
-func (SRPT) Priorities(_ float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (SRPT) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = -t.RPT
 	}
@@ -128,8 +134,8 @@ func (SWPT) Name() string { return "SWPT" }
 
 // Priorities implements Policy: higher decay per unit of remaining work
 // gets higher priority.
-func (SWPT) Priorities(_ float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (SWPT) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = t.Decay / t.RPT
 	}
@@ -154,8 +160,8 @@ type FirstPrice struct{}
 func (FirstPrice) Name() string { return "FirstPrice" }
 
 // Priorities implements Policy.
-func (FirstPrice) Priorities(now float64, tasks []*task.Task) []float64 {
-	p := make([]float64, len(tasks))
+func (FirstPrice) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
+	p := resize(dst, len(tasks))
 	for i, t := range tasks {
 		p[i] = t.ExpectedYield(now) / t.RPT
 	}
@@ -183,8 +189,8 @@ type PresentValue struct {
 func (p PresentValue) Name() string { return fmt.Sprintf("PV(rate=%g)", p.DiscountRate) }
 
 // Priorities implements Policy.
-func (p PresentValue) Priorities(now float64, tasks []*task.Task) []float64 {
-	out := make([]float64, len(tasks))
+func (p PresentValue) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
+	out := resize(dst, len(tasks))
 	for i, t := range tasks {
 		out[i] = PV(t, now, p.DiscountRate) / t.RPT
 	}
@@ -225,12 +231,12 @@ func (p FirstReward) Name() string {
 	return fmt.Sprintf("FirstReward(alpha=%g,rate=%g)", p.Alpha, p.DiscountRate)
 }
 
-// Priorities implements Policy.
-func (p FirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
-	costs := OpportunityCosts(now, tasks, false)
-	out := make([]float64, len(tasks))
+// Priorities implements Policy. The opportunity costs are computed into
+// dst and each is then replaced by its task's reward.
+func (p FirstReward) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
+	out := opportunityCosts(dst, now, tasks, false)
 	for i, t := range tasks {
-		out[i] = (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*costs[i]) / t.RPT
+		out[i] = (p.Alpha*PV(t, now, p.DiscountRate) - (1-p.Alpha)*out[i]) / t.RPT
 	}
 	return out
 }

@@ -117,7 +117,7 @@ func TestPVDiscountPrefersShortTask(t *testing.T) {
 	// PV at any positive rate prefers the short task.
 	long := mk(1, 0, 100, 1000, 1)
 	short := mk(2, 0, 10, 100, 1)
-	prios := PresentValue{DiscountRate: 0.01}.Priorities(0, []*task.Task{long, short})
+	prios := PresentValue{DiscountRate: 0.01}.Priorities(nil, 0, []*task.Task{long, short})
 	if prios[1] <= prios[0] {
 		t.Errorf("PV priorities: short %v should exceed long %v", prios[1], prios[0])
 	}
@@ -199,8 +199,49 @@ func TestPolicyNames(t *testing.T) {
 
 func TestEmptyPriorities(t *testing.T) {
 	for _, p := range []Policy{FCFS{}, SRPT{}, SWPT{}, FirstPrice{}, PresentValue{}, FirstReward{}} {
-		if got := p.Priorities(0, nil); len(got) != 0 {
+		if got := p.Priorities(nil, 0, nil); len(got) != 0 {
 			t.Errorf("%s Priorities(nil) = %v, want empty", p.Name(), got)
+		}
+	}
+}
+
+// TestPrioritiesReuseDst holds every policy ParseSpec builds to the
+// Priorities buffer contract: a stale, non-empty dst — shorter than, as
+// long as, or longer than the task set — gives the nil-dst priorities bit
+// for bit, one per task, and a dst with room enough is written in place.
+// Both penalty regimes are covered, so FirstReward runs its Eq. 5 and its
+// sorted Eq. 4 evaluators.
+func TestPrioritiesReuseDst(t *testing.T) {
+	specs := []string{"fcfs", "srpt", "swpt", "firstprice", "pv", "firstreward", "fr:alpha=0,rate=0", "scheduledprice:procs=4"}
+	for _, spec := range specs {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bounded := range []bool{false, true} {
+			tasks := planTasks(40, bounded, 9)
+			want := p.Priorities(nil, 25, tasks)
+			if len(want) != len(tasks) {
+				t.Fatalf("%s: %d priorities for %d tasks", spec, len(want), len(tasks))
+			}
+			for _, n := range []int{3, len(tasks), 100} {
+				dst := make([]float64, n)
+				for i := range dst {
+					dst[i] = float64(-i) - 0.5
+				}
+				got := p.Priorities(dst, 25, tasks)
+				if len(got) != len(tasks) {
+					t.Fatalf("%s bounded=%v len(dst)=%d: %d priorities for %d tasks", spec, bounded, n, len(got), len(tasks))
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s bounded=%v len(dst)=%d: priority %d = %v, nil-dst %v", spec, bounded, n, i, got[i], want[i])
+					}
+				}
+				if n >= len(tasks) && &got[0] != &dst[0] {
+					t.Errorf("%s bounded=%v len(dst)=%d: priorities not written into dst", spec, bounded, n)
+				}
+			}
 		}
 	}
 }

@@ -195,26 +195,29 @@ func RankOrder(policy Policy, now float64, pending []*task.Task) []*task.Task {
 	return ordered
 }
 
-// rankedTask pairs a task with its priority for sorting.
-type rankedTask struct {
+// rankedIndex pairs a priority with its task's index in the ranked slice.
+// It holds no pointer, so sorting pairs moves plain words and triggers no
+// write barriers.
+type rankedIndex struct {
 	prio float64
-	t    *task.Task
+	i    int
 }
 
 // compareRank orders by priority descending, then task ID ascending. It is
-// negative exactly when a ranks strictly ahead of b, so a stable sort under
-// it places tasks as a stable sort under the equivalent less-than would.
-func compareRank(a, b rankedTask) int {
-	if a.prio != b.prio {
-		if a.prio > b.prio {
+// negative exactly when task a at priority pa ranks strictly ahead of task
+// b at pb, so a stable sort under it places tasks as a stable sort under
+// the equivalent less-than would. Only a tie reads the tasks.
+func compareRank(pa float64, a *task.Task, pb float64, b *task.Task) int {
+	if pa != pb {
+		if pa > pb {
 			return -1
 		}
 		return 1
 	}
 	switch {
-	case a.t.ID < b.t.ID:
+	case a.ID < b.ID:
 		return -1
-	case a.t.ID > b.t.ID:
+	case a.ID > b.ID:
 		return 1
 	}
 	return 0
@@ -223,21 +226,23 @@ func compareRank(a, b rankedTask) int {
 // rankWithPriorities is RankOrder returning the sorted priorities
 // alongside the sorted tasks (prios[i] is ordered[i]'s priority).
 func rankWithPriorities(policy Policy, now float64, pending []*task.Task) ([]*task.Task, []float64) {
-	prios := policy.Priorities(now, pending)
+	prios := policy.Priorities(nil, now, pending)
 	return sortRanked(prios, pending), prios
 }
 
 // sortRanked stably sorts pending under compareRank given its priorities
 // (aligned with pending), and sorts prios in place alongside.
 func sortRanked(prios []float64, pending []*task.Task) []*task.Task {
-	pairs := make([]rankedTask, len(pending))
-	for i, t := range pending {
-		pairs[i] = rankedTask{prios[i], t}
+	pairs := make([]rankedIndex, len(pending))
+	for i, p := range prios {
+		pairs[i] = rankedIndex{p, i}
 	}
-	slices.SortStableFunc(pairs, compareRank)
+	slices.SortStableFunc(pairs, func(a, b rankedIndex) int {
+		return compareRank(a.prio, pending[a.i], b.prio, pending[b.i])
+	})
 	out := make([]*task.Task, len(pending))
 	for i, p := range pairs {
-		out[i] = p.t
+		out[i] = pending[p.i]
 		prios[i] = p.prio
 	}
 	return out

@@ -46,9 +46,9 @@ func (p ScheduledPrice) effRounds() int {
 }
 
 // Priorities implements Policy.
-func (p ScheduledPrice) Priorities(now float64, tasks []*task.Task) []float64 {
+func (p ScheduledPrice) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
 	n := len(tasks)
-	prios := make([]float64, n)
+	prios := resize(dst, n)
 	if n == 0 {
 		return prios
 	}

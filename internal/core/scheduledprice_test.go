@@ -61,12 +61,12 @@ func TestScheduledPriceDefaults(t *testing.T) {
 	if p.Name() == "" {
 		t.Error("empty name")
 	}
-	if got := p.Priorities(0, nil); len(got) != 0 {
+	if got := p.Priorities(nil, 0, nil); len(got) != 0 {
 		t.Errorf("Priorities(nil) = %v", got)
 	}
 	// Zero-valued config must still rank sanely.
 	tasks := []*task.Task{mk(1, 0, 10, 100, 1), mk(2, 0, 20, 100, 1)}
-	if got := p.Priorities(0, tasks); len(got) != 2 {
+	if got := p.Priorities(nil, 0, tasks); len(got) != 2 {
 		t.Fatalf("priorities = %v", got)
 	}
 }

@@ -83,7 +83,7 @@ func (ex *Exchange) Negotiate(t *task.Task) *Contract {
 		}
 	}
 	i, _ := Place(bid, offers, ex.Selector, func(i int) (ServerBid, bool, error) {
-		_, accepted, err := sites[i].Submit(t)
+		accepted, err := sites[i].Submit(t)
 		return offers[i], accepted, err
 	})
 	if i < 0 {

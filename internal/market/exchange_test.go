@@ -154,7 +154,7 @@ func TestBrokerPrefersIdleSite(t *testing.T) {
 
 	eng.At(0, func() {
 		for _, b := range []*task.Task{blocker, blocker2} {
-			if _, ok, err := ex.Sites[0].Submit(b); err != nil || !ok {
+			if ok, err := ex.Sites[0].Submit(b); err != nil || !ok {
 				t.Errorf("submit blocker %d: accepted %v, %v", b.ID, ok, err)
 			}
 		}

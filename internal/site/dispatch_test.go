@@ -24,11 +24,11 @@ func (p generalFirstReward) Name() string {
 	return fmt.Sprintf("FirstRewardGeneral(alpha=%g,rate=%g)", p.Alpha, p.DiscountRate)
 }
 
-func (p generalFirstReward) Priorities(now float64, tasks []*task.Task) []float64 {
+func (p generalFirstReward) Priorities(dst []float64, now float64, tasks []*task.Task) []float64 {
 	costs := core.OpportunityCosts(now, tasks, true)
-	out := make([]float64, len(tasks))
+	out := dst[:0]
 	for i, t := range tasks {
-		out[i] = (p.Alpha*core.PV(t, now, p.DiscountRate) - (1-p.Alpha)*costs[i]) / t.RPT
+		out = append(out, (p.Alpha*core.PV(t, now, p.DiscountRate)-(1-p.Alpha)*costs[i])/t.RPT)
 	}
 	return out
 }
@@ -209,7 +209,7 @@ func TestQuoteCacheReuseAndInvalidation(t *testing.T) {
 
 	engine.At(0, func() {
 		for i := 1; i <= 3; i++ {
-			if _, _, err := s.Submit(task.New(task.ID(i), 0, 50, 100, 0.5, math.Inf(1))); err != nil {
+			if _, err := s.Submit(task.New(task.ID(i), 0, 50, 100, 0.5, math.Inf(1))); err != nil {
 				t.Error(err)
 			}
 		}
@@ -228,7 +228,7 @@ func TestQuoteCacheReuseAndInvalidation(t *testing.T) {
 		}
 
 		// Submit changes the scheduling state: the next quote must rebuild.
-		if _, _, err := s.Submit(task.New(20, 0, 30, 80, 0.5, math.Inf(1))); err != nil {
+		if _, err := s.Submit(task.New(20, 0, 30, 80, 0.5, math.Inf(1))); err != nil {
 			t.Error(err)
 		}
 		pre := s.Metrics()
@@ -309,7 +309,7 @@ func TestRecorderOptionsCompose(t *testing.T) {
 	s.ObserveCompletions(func(*task.Task) { order = append(order, "method") })
 
 	engine.At(0, func() {
-		if _, _, err := s.Submit(task.New(1, 0, 5, 50, 0.1, math.Inf(1))); err != nil {
+		if _, err := s.Submit(task.New(1, 0, 5, 50, 0.1, math.Inf(1))); err != nil {
 			t.Error(err)
 		}
 	})

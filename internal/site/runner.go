@@ -29,7 +29,7 @@ func ScheduleArrivals(engine *sim.Engine, s *Site, tasks []*task.Task) {
 	for _, t := range tasks {
 		t := t
 		engine.At(t.Arrival, func() {
-			if _, _, err := s.Submit(t); err != nil {
+			if _, err := s.Submit(t); err != nil {
 				panic(err) // trace tasks are validated at generation time
 			}
 		})

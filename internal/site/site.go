@@ -147,10 +147,14 @@ type Site struct {
 	version uint64
 	view    *QuoteSnapshot
 
-	// Scratch for preemptIfBeneficial, reused across passes: the ranked
-	// union (pending first, then running), and for its running part the
-	// executions, their stored RPTs and whether each may be preempted.
+	// Ranking scratch, reused across scheduling events: the planner's
+	// buffers for dispatch, and for preemptIfBeneficial the ranked union
+	// (pending first, then running), its priorities, and for its running
+	// part the executions, their stored RPTs and whether each may be
+	// preempted.
+	planner     core.Planner
 	union       []*task.Task
+	prios       []float64
 	unionEx     []*execution
 	savedRPT    []float64
 	preemptable []bool
@@ -266,14 +270,23 @@ func (s *Site) snapshot() *QuoteSnapshot {
 	return qs
 }
 
-// Submit offers a task to the site at the current simulation time. The site
-// quotes the task against its candidate schedule and applies its admission
-// policy; accepted tasks enter the pending queue and may dispatch
-// immediately. It returns the quote and whether the task was accepted.
-func (s *Site) Submit(t *task.Task) (admission.Quote, bool, error) {
-	q, err := s.Quote(t)
-	if err != nil {
-		return admission.Quote{}, false, err
+// Submit offers a task to the site at the current simulation time and
+// reports whether the site accepted it. An invalid task is an error. The
+// site prices the task against its candidate schedule (Quote) only when
+// something reads the price: an admission policy that reads quotes, or a
+// recorder, which books the quote's terms. Otherwise the admission policy
+// decides on a zero quote. Accepted tasks enter the pending queue and may
+// dispatch immediately. Callers that need the price call Quote.
+func (s *Site) Submit(t *task.Task) (bool, error) {
+	if err := t.Validate(); err != nil {
+		return false, err
+	}
+	var q admission.Quote
+	if s.adm.ReadsQuote() || s.recorder != nil {
+		var err error
+		if q, err = s.Quote(t); err != nil {
+			return false, err
+		}
 	}
 	s.metrics.Submitted++
 	now := s.engine.Now()
@@ -284,7 +297,7 @@ func (s *Site) Submit(t *task.Task) (admission.Quote, bool, error) {
 		t.State = task.Rejected
 		s.metrics.Rejected++
 		s.recordQuote(EventReject, t, q)
-		return q, false, nil
+		return false, nil
 	}
 	t.State = task.Queued
 	s.metrics.Accepted++
@@ -293,7 +306,7 @@ func (s *Site) Submit(t *task.Task) (admission.Quote, bool, error) {
 	s.invalidate()
 	s.recordQuote(EventSubmit, t, q)
 	s.dispatch()
-	return q, true, nil
+	return true, nil
 }
 
 // effectiveRPT is the remaining processing time of a running task as of
@@ -323,7 +336,7 @@ func (s *Site) dispatch() {
 	}
 	rankOps := 0
 	for s.free > 0 && len(s.pending) > 0 {
-		starts, ranks := core.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
+		starts, ranks := s.planner.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
 		rankOps += ranks
 		parked := false
 		for _, t := range starts {
@@ -415,8 +428,8 @@ func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
 			}
 			union = append(union, ex.t)
 		}
-		s.union, s.unionEx, s.savedRPT, s.preemptable = union, exs, saved, preemptable
-		prios := s.cfg.Policy.Priorities(now, union)
+		prios := s.cfg.Policy.Priorities(s.prios, now, union)
+		s.union, s.prios, s.unionEx, s.savedRPT, s.preemptable = union, prios, exs, saved, preemptable
 		rankOps++
 
 		bestPending, worstRunning := -1, -1

@@ -24,7 +24,7 @@ func newSite(t *testing.T, cfg Config, opts ...Option) (*sim.Engine, *Site) {
 
 func submitAt(engine *sim.Engine, s *Site, t *task.Task) {
 	engine.At(t.Arrival, func() {
-		if _, _, err := s.Submit(t); err != nil {
+		if _, err := s.Submit(t); err != nil {
 			panic(err)
 		}
 	})
@@ -212,7 +212,7 @@ func TestAdmissionControlRejects(t *testing.T) {
 	tk := task.New(1, 0, 10, 100, 1, math.Inf(1))
 	var accepted bool
 	engine.At(0, func() {
-		_, ok, err := s.Submit(tk)
+		ok, err := s.Submit(tk)
 		if err != nil {
 			t.Error(err)
 		}
@@ -248,14 +248,69 @@ func TestQuoteDoesNotCommit(t *testing.T) {
 	}
 }
 
+// TestSubmitInvalidTask: Submit rejects an invalid bid with an error and
+// counts nothing, both when it prices the bid (slack admission, or a
+// recorder attached) and when it skips the quote (accept-all, untraced).
 func TestSubmitInvalidTask(t *testing.T) {
-	engine, s := newSite(t, Config{})
-	engine.At(0, func() {
-		if _, _, err := s.Submit(task.New(1, 0, -1, 100, 1, 0)); err == nil {
-			t.Error("invalid task accepted")
+	for _, adm := range []admission.Policy{admission.AcceptAll{}, admission.SlackThreshold{Threshold: -1e12}} {
+		for _, log := range []*Log{nil, {}} {
+			var opts []Option
+			if log != nil {
+				opts = append(opts, WithRecorder(log))
+			}
+			engine, s := newSite(t, Config{Admission: adm}, opts...)
+			engine.At(0, func() {
+				if _, err := s.Submit(task.New(1, 0, -1, 100, 1, 0)); err == nil {
+					t.Errorf("%s, recorder %v: invalid task accepted", adm.Name(), log != nil)
+				}
+			})
+			engine.Run()
+			if n := s.Metrics().Submitted; n != 0 {
+				t.Errorf("%s, recorder %v: Submitted = %d after an invalid task, want 0", adm.Name(), log != nil, n)
+			}
 		}
-	})
-	engine.Run()
+	}
+}
+
+// TestSubmitQuotesOnlyWhenRead runs one Figure-3 cell three ways. Untraced
+// under accept-all, nothing reads a price, so Submit quotes nothing. With a
+// recorder attached, which books the quote's terms, every arrival is quoted
+// and every decision is bit-equal to the untraced run's. Under slack
+// admission every arrival is quoted too.
+func TestSubmitQuotesOnlyWhenRead(t *testing.T) {
+	const jobs = 500
+	run := func(adm admission.Policy, opts ...Option) Metrics {
+		tasks, cfg := fig3Cell(t, jobs)
+		cfg.Admission = adm
+		return RunTrace(tasks, cfg, opts...)
+	}
+	quoted := func(m Metrics) int { return m.QuoteBuilds + m.QuoteReuses }
+
+	plain := run(nil)
+	if n := quoted(plain); n != 0 {
+		t.Errorf("untraced accept-all: %d quotes, want 0", n)
+	}
+	traced := run(nil, WithRecorder(&Log{}))
+	if n := quoted(traced); n != traced.Submitted || n != jobs {
+		t.Errorf("traced accept-all: %d quotes for %d arrivals, want one each", n, traced.Submitted)
+	}
+	if plain.Completed != traced.Completed || plain.RankOps != traced.RankOps || plain.Preemptions != traced.Preemptions ||
+		math.Float64bits(plain.TotalYield) != math.Float64bits(traced.TotalYield) {
+		t.Fatalf("the recorder changed decisions: untraced %v, rank ops %d; traced %v, rank ops %d",
+			plain, plain.RankOps, traced, traced.RankOps)
+	}
+	for i, a := range plain.CompletedTasks {
+		b := traced.CompletedTasks[i]
+		if a.ID != b.ID || math.Float64bits(a.Completion) != math.Float64bits(b.Completion) ||
+			math.Float64bits(a.Yield) != math.Float64bits(b.Yield) {
+			t.Fatalf("completion %d: untraced task %d at %v yield %v, traced task %d at %v yield %v",
+				i, a.ID, a.Completion, a.Yield, b.ID, b.Completion, b.Yield)
+		}
+	}
+	slack := run(admission.SlackThreshold{Threshold: 0})
+	if n := quoted(slack); n != slack.Submitted || n != jobs {
+		t.Errorf("slack admission: %d quotes for %d arrivals, want one each", n, slack.Submitted)
+	}
 }
 
 func TestParkExpiredRealizesPenaltyWithoutRunning(t *testing.T) {

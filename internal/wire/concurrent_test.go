@@ -39,7 +39,7 @@ func TestServerDecisionsMatchSimulator(t *testing.T) {
 	var simDec []string
 	for i := 1; i <= 12; i++ {
 		bid := scriptBid(task.ID(i))
-		_, ok, err := oracle.Submit(task.New(bid.TaskID, 0, bid.Runtime, bid.Value, bid.Decay, bid.Bound))
+		ok, err := oracle.Submit(task.New(bid.TaskID, 0, bid.Runtime, bid.Value, bid.Decay, bid.Bound))
 		if err != nil {
 			t.Fatal(err)
 		}

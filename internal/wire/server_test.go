@@ -261,7 +261,7 @@ func TestServerBidAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed by the race detector")
 	}
-	const maxPerBid = 9
+	const maxPerBid = 8
 	srv := startServer(t, ServerConfig{Processors: 1, Shards: 2, TimeScale: time.Second})
 	c := dialServer(t, srv)
 	for id := task.ID(1); id <= 65; id++ { // one running, 64 queued behind it
