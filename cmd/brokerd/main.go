@@ -27,7 +27,7 @@ func main() {
 		retries   = flag.Int("retries", 2, "per-site retries on transient failures (negative disables)")
 		backoff   = flag.Duration("backoff", 50*time.Millisecond, "first retry delay, doubling per attempt")
 		workers   = flag.Int("quote-workers", 0, "max sites quoted concurrently per exchange (0 = default of 8)")
-		codec     = flag.String("codec", "", "codec to request when dialing sites: json|binary|v1 (empty = negotiate binary with JSON fallback, v1 = plain v1 JSON with no handshake)")
+		codec     = flag.String("codec", "", "codec to request when dialing sites: json|binary (empty = binary)")
 		topk      = flag.Int("topk", 4, "quote only the k sites ranked best by their load digests (0 = full fan-out: quote every breaker-admitted site)")
 		digestInt = flag.Duration("digest-interval", 0, "load-digest push cadence requested from sites (0 = default of 250ms)")
 		peers     = flag.String("peers", "", "comma-separated peer broker addresses for consistent-hash sharding (empty = standalone)")

@@ -27,7 +27,7 @@ func main() {
 		mean        = flag.Duration("interarrival", 200*time.Millisecond, "mean wall-clock gap between submissions")
 		scale       = flag.Duration("timescale", 10*time.Millisecond, "wall-clock duration of one simulation time unit (must match the servers)")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request timeout against each site")
-		codec       = flag.String("codec", "", "codec to request from each site: json|binary (empty = plain v1 JSON, no handshake)")
+		codec       = flag.String("codec", "", "codec to request from each site: json|binary (empty = binary)")
 		retries     = flag.Int("retries", 2, "per-site retries on transient failures (negative disables)")
 		backoff     = flag.Duration("backoff", 50*time.Millisecond, "first retry delay, doubling per attempt")
 		selector    = flag.String("selector", "best-yield", "server-bid selector spec: best-yield|earliest")

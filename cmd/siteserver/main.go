@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -24,7 +23,6 @@ func main() {
 		addr      = flag.String("addr", "127.0.0.1:7600", "listen address")
 		id        = flag.String("id", "site-0", "site identifier")
 		procs     = flag.Int("procs", 4, "processors")
-		codecs    = flag.String("codecs", "", "comma-separated codecs offered to v2 clients (empty allows every registered codec; json is always available)")
 		policy    = flag.String("policy", "firstreward:alpha=0.3,rate=0.01", "scheduling policy spec (see core.ParseSpec)")
 		admSpec   = flag.String("admission", "slack:threshold=0", "admission policy spec (accept-all, slack:threshold=X, min-yield:threshold=X)")
 		discount  = flag.Float64("discount", 0.01, "discount rate for quoting expected yield")
@@ -75,17 +73,9 @@ func main() {
 	flight := obs.NewFlight(obs.FlightConfig{Registry: obs.Default, Interval: *flightInt})
 	defer flight.Stop()
 
-	var allowCodecs []string
-	if *codecs != "" {
-		for _, name := range strings.Split(*codecs, ",") {
-			allowCodecs = append(allowCodecs, strings.TrimSpace(name))
-		}
-	}
-
 	cfg := wire.ServerConfig{
 		SiteID:          *id,
 		Processors:      *procs,
-		Codecs:          allowCodecs,
 		Policy:          pol,
 		Admission:       adm,
 		DiscountRate:    *discount,

@@ -22,8 +22,8 @@ type BrokerConfig struct {
 	// Negotiator semantics (zero means default, negative disables).
 	Retries int
 	Backoff time.Duration
-	// QuoteWorkers bounds concurrent site quoting per exchange, with
-	// Negotiator semantics (zero means the default of 8, negative means 1).
+	// QuoteWorkers bounds concurrent site quoting per exchange: zero means
+	// the default (8), negative means one.
 	QuoteWorkers int
 	// IdleTimeout / WriteTimeout govern the broker's client-facing
 	// connections, with ServerConfig semantics.
@@ -33,14 +33,8 @@ type BrokerConfig struct {
 	// connections and the site connections alike; zero means the default
 	// (1 MiB).
 	MaxFrameBytes int
-	// Codecs restricts which codecs the broker negotiates on its
-	// client-facing connections (ServerConfig semantics: nil allows every
-	// registered codec, JSON is always the floor).
-	Codecs []string
-	// SiteCodec names the codec to request when dialing each site; empty
-	// means negotiate the binary codec (falling back to JSON when the site
-	// declines the handshake); SiteCodecV1 opts into plain v1 JSON with no
-	// handshake at all.
+	// SiteCodec names the codec to request when dialing each site, with
+	// ClientConfig.Codec semantics: empty means binary.
 	SiteCodec string
 	// Route selects the quote fan-out policy: RouteFanout (the zero value)
 	// quotes every breaker-admitted site, RouteTopK quotes only the TopK
@@ -93,30 +87,22 @@ type BrokerConfig struct {
 	Tracer *obs.Tracer
 }
 
-// Routing policies and the v1 site-codec opt-out.
+// Routing policies.
 const (
 	RouteFanout = "fanout"
 	RouteTopK   = "topk"
-	SiteCodecV1 = "v1"
 
 	defaultTopK = 4
 )
 
 func (c BrokerConfig) retries() int           { return defaultedRetries(c.Retries) }
 func (c BrokerConfig) backoff() time.Duration { return defaultedBackoff(c.Backoff) }
-func (c BrokerConfig) quoteWorkers() int      { return defaultedQuoteWorkers(c.QuoteWorkers) }
 
-// siteCodec resolves the codec requested on site dials: binary by default
-// (the handshake falls back to JSON against a v1 site), none for the
-// explicit v1 opt-out.
-func (c BrokerConfig) siteCodec() string {
-	switch c.SiteCodec {
-	case "":
-		return CodecBinary
-	case SiteCodecV1:
-		return ""
+func (c BrokerConfig) quoteWorkers() int {
+	if c.QuoteWorkers == 0 {
+		return defaultQuoteWorkers
 	}
-	return c.SiteCodec
+	return max(c.QuoteWorkers, 1)
 }
 
 func (c BrokerConfig) topK() int {
@@ -145,7 +131,7 @@ func (c BrokerConfig) laneConfig() ClientConfig {
 		RequestTimeout: c.RequestTimeout,
 		DialTimeout:    c.RequestTimeout,
 		MaxFrameBytes:  c.MaxFrameBytes,
-		Codec:          c.siteCodec(),
+		Codec:          c.SiteCodec,
 	}
 }
 
@@ -363,7 +349,6 @@ func NewBrokerServer(addr string, cfg BrokerConfig) (*BrokerServer, error) {
 	}
 	ep, err := listen(addr, endpointConfig{
 		label:         "broker",
-		codecs:        cfg.Codecs,
 		idleTimeout:   cfg.IdleTimeout,
 		writeTimeout:  cfg.WriteTimeout,
 		maxFrameBytes: cfg.MaxFrameBytes,

@@ -43,11 +43,9 @@ type ClientConfig struct {
 	// surfaced as a protocol-error reply to the in-flight exchange instead
 	// of killing the connection; zero means the default (1 MiB).
 	MaxFrameBytes int
-	// Codec names the wire codec to request via the hello/welcome
-	// handshake on every dial (and redial). Empty means no handshake: the
-	// connection speaks bare protocol v1 JSON, exactly as before the codec
-	// negotiation existed. A v1 server that does not understand the hello
-	// downgrades the connection to JSON rather than failing the dial.
+	// Codec names the wire codec to request in the hello/welcome
+	// handshake that opens every dial (and redial); empty means binary.
+	// JSON is always offered as the fallback.
 	Codec string
 }
 
@@ -74,6 +72,13 @@ func (c ClientConfig) dialTimeout() time.Duration {
 		return 0
 	}
 	return c.DialTimeout
+}
+
+func (c ClientConfig) codec() string {
+	if c.Codec == "" {
+		return CodecBinary
+	}
+	return c.Codec
 }
 
 // SiteClient is one client connection to a network site. Request/response
@@ -110,9 +115,13 @@ func Dial(addr string) (*SiteClient, error) {
 	return DialConfig(addr, ClientConfig{})
 }
 
-// DialConfig connects to a site server with explicit timeouts, running
-// the codec handshake when cfg.Codec is set.
+// DialConfig connects to a site server with explicit timeouts and
+// negotiates cfg.Codec. A codec name that is not built in fails before
+// dialing.
 func DialConfig(addr string, cfg ClientConfig) (*SiteClient, error) {
+	if _, ok := CodecByName(cfg.codec()); !ok {
+		return nil, fmt.Errorf("wire: unknown codec %q", cfg.Codec)
+	}
 	c := &SiteClient{addr: addr, cfg: cfg}
 	conn, codec, err := c.dialNegotiated()
 	if err != nil {
@@ -122,18 +131,15 @@ func DialConfig(addr string, cfg ClientConfig) (*SiteClient, error) {
 	return c, nil
 }
 
-// dialNegotiated establishes a fresh connection and, when the config asks
-// for a codec, runs the hello/welcome exchange on it before any other
-// traffic. On handshake failure the connection is closed, never leaked.
+// dialNegotiated establishes a fresh connection and runs the hello/welcome
+// exchange on it before any other traffic. On handshake failure the
+// connection is closed, never leaked.
 func (c *SiteClient) dialNegotiated() (net.Conn, Codec, error) {
 	conn, err := net.DialTimeout("tcp", c.addr, c.cfg.dialTimeout())
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.cfg.Codec == "" {
-		return conn, defaultCodec(), nil
-	}
-	codec, err := clientHandshake(conn, c.cfg.Codec, c.cfg.dialTimeout())
+	codec, err := clientHandshake(conn, c.cfg.codec(), c.cfg.dialTimeout())
 	if err != nil {
 		_ = conn.Close()
 		return nil, nil, err
@@ -198,7 +204,7 @@ func (c *SiteClient) SiteID() string {
 }
 
 // NegotiatedCodec returns the name of the codec the live connection
-// speaks: the handshake's pick, or "json" for a plain v1 connection.
+// speaks: the handshake's pick.
 func (c *SiteClient) NegotiatedCodec() string {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
@@ -457,17 +463,11 @@ func (c *SiteClient) Query(id task.ID) (ContractStatus, error) {
 	}
 }
 
-// ErrDigestUnsupported reports a site that declined a digest subscription
-// — a v1 site, or one predating the digest protocol. The connection is
-// healthy; the subscriber simply gets no digests from it.
-var ErrDigestUnsupported = errors.New("wire: site does not support digest subscriptions")
-
 // SubscribeDigests asks the site to push TypeDigest envelopes to this
 // connection roughly every interval (the site jitters each gap over
 // [T/2, 3T/2)). Pushes land on the OnDigest callback. The subscription is
 // per connection: a Redial silently drops it, so subscribers re-subscribe
-// when digests stop arriving. A site that does not speak the digest
-// protocol returns ErrDigestUnsupported.
+// when digests stop arriving.
 func (c *SiteClient) SubscribeDigests(interval time.Duration) error {
 	if interval <= 0 {
 		return fmt.Errorf("wire: digest interval %v must be > 0", interval)
@@ -481,7 +481,7 @@ func (c *SiteClient) SubscribeDigests(interval time.Duration) error {
 	case TypeDigestSub:
 		return nil
 	case TypeError:
-		return fmt.Errorf("%w: %s", ErrDigestUnsupported, reply.Reason)
+		return fmt.Errorf("wire: digest subscription refused: %s", reply.Reason)
 	default:
 		return fmt.Errorf("wire: unexpected digest subscription reply %q", reply.Type)
 	}
@@ -518,11 +518,6 @@ type Negotiator struct {
 	// Backoff is the delay before the first retry, doubling each attempt.
 	// Zero means the default (50ms).
 	Backoff time.Duration
-	// QuoteWorkers bounds the number of sites quoted concurrently during
-	// an exchange. Zero means the default (8); negative means one. The
-	// bound keeps a federation-wide exchange from opening an unbounded
-	// goroutine (and socket) burst per bid.
-	QuoteWorkers int
 	// DeadlineBudget mints a deadline budget on each bid that carries
 	// none: the budget rides the envelope as deadline_ms, shrinks at each
 	// hop (a relaying broker re-stamps it with its queueing and retry
@@ -566,19 +561,8 @@ func defaultedBackoff(d time.Duration) time.Duration {
 	return d
 }
 
-func defaultedQuoteWorkers(n int) int {
-	if n == 0 {
-		return defaultQuoteWorkers
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 func (n *Negotiator) retries() int           { return defaultedRetries(n.Retries) }
 func (n *Negotiator) backoff() time.Duration { return defaultedBackoff(n.Backoff) }
-func (n *Negotiator) quoteWorkers() int      { return defaultedQuoteWorkers(n.QuoteWorkers) }
 
 // exchangeObs lazily binds the negotiator's instruments so plain literal
 // construction (the common pattern in tests and examples) keeps working.
@@ -700,7 +684,7 @@ func (n *Negotiator) Negotiate(b market.Bid) (market.ServerBid, bool, error) {
 	eo := n.exchangeObs()
 	eo.trace(obs.TraceEvent{Stage: obs.StageSubmit, Task: uint64(b.TaskID), Req: b.ReqID, Value: b.Value,
 		Cohort: b.Cohort, Client: b.Client})
-	offers, offerSites, _, err := proposeEach(n.Sites, n.quoteWorkers(), eo, b, (*SiteClient).Addr,
+	offers, offerSites, _, err := proposeEach(n.Sites, defaultQuoteWorkers, eo, b, (*SiteClient).Addr,
 		func(sc *SiteClient) (r proposeResult) {
 			r.err = callWithRetry(sc, n.retries(), n.backoff(), eo, nil, func() (err error) {
 				r.sb, r.ok, r.reason, err = sc.ProposeDetail(b)

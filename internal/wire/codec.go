@@ -5,14 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 )
 
-// Codec is the wire encoding for one connection. The server and every
-// client speak JSON lines (protocol v1) until a hello/welcome handshake
-// switches the connection to a negotiated codec; after the switch both
-// sides frame every envelope through the same Codec.
+// Codec is the wire encoding for one connection. Every connection opens
+// with a JSON-line hello/welcome handshake that names the codec; after it
+// both sides frame every envelope through the same Codec.
 //
 // Append serializes one envelope onto dst (including the codec's framing)
 // and returns the extended slice — an append-style API so callers can
@@ -34,14 +31,10 @@ type Codec interface {
 	Read(br *bufio.Reader, max int, scratch *[]byte, e *Envelope) error
 }
 
-// Registered codec names.
+// Built-in codec names.
 const (
-	CodecJSON   = "json"   // newline-delimited JSON envelopes (protocol v1 framing)
+	CodecJSON   = "json"   // newline-delimited JSON envelopes, the handshake's framing
 	CodecBinary = "binary" // length-prefixed binary envelopes (see binary.go)
-
-	// codecLabelV1 labels connections that never negotiated — a bare v1
-	// envelope as the first frame — in the negotiated-codec metric.
-	codecLabelV1 = "json-v1"
 )
 
 // ProtocolError reports a recoverable decode failure: the frame was
@@ -59,52 +52,20 @@ func IsProtocolError(err error) bool {
 	return errors.As(err, &pe)
 }
 
-var (
-	codecMu  sync.RWMutex
-	codecs   = map[string]Codec{}
-	codecOrd []string // registration order = default preference order
-)
-
-// RegisterCodec adds a codec to the negotiation registry. Registration
-// order sets the default preference order offered in a hello.
-func RegisterCodec(c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if _, dup := codecs[c.Name()]; dup {
-		panic(fmt.Sprintf("wire: codec %q registered twice", c.Name()))
-	}
-	codecs[c.Name()] = c
-	codecOrd = append(codecOrd, c.Name())
-}
-
-// CodecByName looks up a registered codec.
+// CodecByName returns the built-in codec called name.
 func CodecByName(name string) (Codec, bool) {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	c, ok := codecs[name]
-	return c, ok
+	switch name {
+	case CodecJSON:
+		return jsonCodec{}, true
+	case CodecBinary:
+		return binaryCodec{}, true
+	}
+	return nil, false
 }
 
-// CodecNames returns the registered codec names, sorted.
-func CodecNames() []string {
-	codecMu.RLock()
-	defer codecMu.RUnlock()
-	names := append([]string(nil), codecOrd...)
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterCodec(binaryCodec{})
-	RegisterCodec(jsonCodec{})
-}
-
-// defaultCodec is what every connection starts on: protocol v1 JSON.
-func defaultCodec() Codec { return jsonCodec{} }
-
-// jsonCodec frames envelopes as newline-delimited JSON objects — the
-// protocol the service has always spoken, byte-for-byte. Encoding goes
-// through the pooled json.Encoder machinery in frame.go.
+// jsonCodec frames envelopes as newline-delimited JSON objects: the
+// handshake's framing and a negotiable codec. Encoding goes through the
+// pooled json.Encoder machinery in frame.go.
 type jsonCodec struct{}
 
 func (jsonCodec) Name() string { return CodecJSON }

@@ -321,26 +321,11 @@ func TestServerStressRace(t *testing.T) {
 func TestOversizedFrameKeepsConnection(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := startServer(t, ServerConfig{MaxFrameBytes: 4096, Metrics: reg})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
+	c := dialSession(t, srv.Addr())
 
 	// An 8 KiB line against a 4 KiB cap.
-	if _, err := conn.Write(append(bytes.Repeat([]byte("x"), 8192), '\n')); err != nil {
-		t.Fatal(err)
-	}
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env Envelope
-	if err := decodeJSONEnvelope([]byte(line), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Type != TypeError || !strings.Contains(env.Reason, "size limit") {
+	c.write(append(bytes.Repeat([]byte("x"), 8192), '\n'))
+	if env := c.reply(); env.Type != TypeError || !strings.Contains(env.Reason, "size limit") {
 		t.Fatalf("oversized frame reply = %+v, want frame-size protocol error", env)
 	}
 	if got := srv.ep.m.framesOversized.Value(); got != 1 {
@@ -348,22 +333,8 @@ func TestOversizedFrameKeepsConnection(t *testing.T) {
 	}
 
 	// The same connection still serves the protocol.
-	bid := BidEnvelope(testBid(7, 5))
-	b, err := jsonCodec{}.Append(nil, &bid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	line, err = br.ReadString('\n')
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := decodeJSONEnvelope([]byte(line), &env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Type != TypeServerBid {
+	c.send(BidEnvelope(testBid(7, 5)))
+	if env := c.reply(); env.Type != TypeServerBid {
 		t.Fatalf("bid after oversized frame = %+v, want a server bid", env)
 	}
 }
@@ -383,6 +354,9 @@ func TestClientOversizedReply(t *testing.T) {
 			return
 		}
 		defer conn.Close()
+		if welcomeJSON(conn) != nil {
+			return
+		}
 		br := bufio.NewReader(conn)
 		// First request: answer with an oversized junk line.
 		if _, err := br.ReadString('\n'); err != nil {

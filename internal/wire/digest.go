@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"errors"
 	"sort"
 	"time"
 
@@ -298,25 +297,14 @@ func (b *BrokerServer) refreshDigests() {
 }
 
 // subscribeSite runs one digest-subscription exchange on the site's
-// primary lane, backing off on failure so an unreachable or pre-digest
-// site is not hammered every refresh tick.
+// primary lane, backing off on failure so an unreachable site is not
+// hammered every refresh tick.
 func (b *BrokerServer) subscribeSite(bs *brokerSite, interval time.Duration) {
 	err := bs.primary.SubscribeDigests(interval)
-	var backoff time.Duration
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrDigestUnsupported):
-		// A v1 site: nothing to subscribe to on this connection. Retry only
-		// rarely, in case the site restarts upgraded.
-		backoff = 30 * interval
-		b.eo.log.Info("site declined digest subscription", "addr", bs.addr, "err", err.Error())
-	default:
-		backoff = 2 * interval
-	}
 	bs.digestMu.Lock()
 	bs.subInFlight = false
-	if backoff > 0 {
-		bs.nextSubAt = time.Now().Add(backoff)
+	if err != nil {
+		bs.nextSubAt = time.Now().Add(2 * interval)
 	}
 	bs.digestMu.Unlock()
 }

@@ -21,14 +21,13 @@ const (
 // with its codec handshake. A daemon supplies only what a request means
 // (handle) and what a vanished client leaves behind (gone).
 type endpoint struct {
-	ln     net.Listener
-	label  string   // site label on metrics and the ID in the welcome
-	codecs []string // codecs the handshake may pick (nil allows all)
-	idle   time.Duration
-	write  time.Duration
-	limit  int
-	log    *obs.Logger
-	m      endpointMetrics
+	ln    net.Listener
+	label string // site label on metrics and the ID in the welcome
+	idle  time.Duration
+	write time.Duration
+	limit int
+	log   *obs.Logger
+	m     endpointMetrics
 
 	handle func(*serverConn, Envelope) Envelope
 	gone   func(*serverConn)
@@ -45,7 +44,6 @@ type endpoint struct {
 // negative disables the deadline.
 type endpointConfig struct {
 	label                     string
-	codecs                    []string
 	idleTimeout, writeTimeout time.Duration
 	maxFrameBytes             int
 	metrics                   *obs.Registry
@@ -82,18 +80,17 @@ func listen(addr string, cfg endpointConfig) (*endpoint, error) {
 	}
 	reg := cfg.metrics
 	return &endpoint{
-		ln:     ln,
-		label:  cfg.label,
-		codecs: cfg.codecs,
-		idle:   timeoutOr(cfg.idleTimeout, defaultIdleTimeout),
-		write:  timeoutOr(cfg.writeTimeout, defaultWriteTimeout),
-		limit:  maxFrameBytes(cfg.maxFrameBytes),
-		log:    cfg.log,
+		ln:    ln,
+		label: cfg.label,
+		idle:  timeoutOr(cfg.idleTimeout, defaultIdleTimeout),
+		write: timeoutOr(cfg.writeTimeout, defaultWriteTimeout),
+		limit: maxFrameBytes(cfg.maxFrameBytes),
+		log:   cfg.log,
 		m: endpointMetrics{
 			connections:     reg.Gauge("wire_connections", "Live client connections.", "site").With(cfg.label),
 			idleReaps:       reg.Counter("wire_idle_reaps_total", "Connections closed by the idle timeout.", "site").With(cfg.label),
 			framesOversized: reg.Counter("wire_frames_oversized_total", "Inbound frames rejected for exceeding the configured size cap.", "site").With(cfg.label),
-			codecs:          reg.Counter("wire_codec_negotiated_total", "Connections by negotiated wire codec; json-v1 means a pre-handshake v1 client.", "site", "codec"),
+			codecs:          reg.Counter("wire_codec_negotiated_total", "Connections by negotiated wire codec.", "site", "codec"),
 		},
 		conns: make(map[*serverConn]struct{}),
 	}, nil
@@ -154,13 +151,14 @@ func (e *endpoint) close(drain func()) (first bool, err error) {
 	return true, err
 }
 
-// serve runs one connection's read loop. A bare envelope as the first
-// frame is a v1 client; a hello as the first frame negotiates the codec,
-// its reply going out as JSON before the switch. Frames that are too long
-// or do not decode are answered with TypeError and the connection keeps
-// serving; an I/O error or the idle deadline ends it.
+// serve runs one connection's read loop. The first frame must be a hello:
+// it negotiates the codec, the welcome going out as JSON before the
+// switch. Any other first frame is answered with one TypeError and the
+// connection closes. After the hello, frames that are too long or do not
+// decode are answered with TypeError and the connection keeps serving; an
+// I/O error or the idle deadline ends it.
 func (e *endpoint) serve(conn net.Conn) {
-	sc := &serverConn{conn: conn, bw: bufio.NewWriter(conn), writeTimeout: e.write, codec: defaultCodec()}
+	sc := &serverConn{conn: conn, bw: bufio.NewWriter(conn), writeTimeout: e.write, codec: jsonCodec{}}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -181,7 +179,7 @@ func (e *endpoint) serve(conn net.Conn) {
 
 	remote := conn.RemoteAddr().String()
 	br := bufio.NewReaderSize(conn, 64*1024)
-	rd := defaultCodec()
+	var rd Codec = jsonCodec{}
 	var scratch []byte
 	var env Envelope
 	first := true
@@ -211,37 +209,34 @@ func (e *endpoint) serve(conn net.Conn) {
 				e.log.Warn("connection read error", "remote", remote, "err", err.Error())
 			}
 			return
-		case env.Type == TypeHello && !first:
-			// A handshake can only open a session; mid-session hellos are
-			// protocol errors, answered without dropping the connection.
-			reply = Envelope{Type: TypeError, ReqID: env.ReqID, Reason: "wire: hello after session established"}
-		case env.Type == TypeHello:
+		case first:
+			welcome, next, ok := helloReply(env, e.label)
+			if !ok {
+				reply = welcome
+				break
+			}
 			first = false
-			welcome, next, ok := helloReply(env, e.codecs, e.label)
-			// The reply always travels as v1 JSON; only after it is flushed
-			// does the connection switch codecs.
+			// The welcome travels as JSON; only after it is flushed does
+			// the connection switch codecs.
 			if sc.send(welcome) != nil {
 				return
 			}
-			codec := codecLabelV1
-			if ok {
-				sc.setCodec(next)
-				rd = next
-				codec = next.Name()
-				e.log.Info("negotiated wire codec", "remote", remote, "codec", codec)
-			}
-			e.m.codecs.With(e.label, codec).Inc()
+			sc.setCodec(next)
+			rd = next
+			e.log.Info("negotiated wire codec", "remote", remote, "codec", next.Name())
+			e.m.codecs.With(e.label, next.Name()).Inc()
 			continue
+		case env.Type == TypeHello:
+			// A handshake can only open a session; mid-session hellos are
+			// protocol errors, answered without dropping the connection.
+			reply = Envelope{Type: TypeError, ReqID: env.ReqID, Reason: "wire: hello after session established"}
 		default:
-			if first {
-				// A bare envelope as the first frame is a v1 client.
-				first = false
-				e.m.codecs.With(e.label, codecLabelV1).Inc()
-			}
 			reply = e.handle(sc, env)
 			reply.ReqID = env.ReqID
 		}
-		if sc.send(reply) != nil {
+		// A connection that did not open with a hello is answered once and
+		// closed.
+		if sc.send(reply) != nil || first {
 			return
 		}
 	}

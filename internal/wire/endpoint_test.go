@@ -34,6 +34,38 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 	return &rawConn{t: t, conn: conn, br: bufio.NewReader(conn), codec: jsonCodec{}}
 }
 
+// dialSession dials addr and opens the session with a JSON hello.
+func dialSession(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c := dialRaw(t, addr)
+	c.hello(CodecJSON)
+	return c
+}
+
+// hello opens the session offering codec, checks the welcome names it and
+// switches the connection to it.
+func (c *rawConn) hello(codec string) {
+	c.t.Helper()
+	c.send(HelloEnvelope(codec))
+	r := c.reply()
+	if r.Type != TypeWelcome || r.Codec != codec {
+		c.t.Fatalf("hello answered with %+v, want a %s welcome", r, codec)
+	}
+	c.codec, _ = CodecByName(codec)
+}
+
+// refused checks the connection answers with exactly one error and then
+// closes.
+func (c *rawConn) refused(want string) {
+	c.t.Helper()
+	if r := c.reply(); r.Type != TypeError || !strings.Contains(r.Reason, want) {
+		c.t.Fatalf("refusal answered with %+v, want an error containing %q", r, want)
+	}
+	if _, err := c.br.ReadByte(); !errors.Is(err, io.EOF) {
+		c.t.Fatalf("refused connection read %v, want EOF", err)
+	}
+}
+
 func (c *rawConn) write(b []byte) {
 	c.t.Helper()
 	if _, err := c.conn.Write(b); err != nil {
@@ -72,8 +104,9 @@ func (c *rawConn) serves() {
 
 // TestEndpointServesBothDaemons runs the connection loop's edge cases
 // against a site and a broker alike: each case must be counted exactly
-// once under the daemon's label, the connection it ran on must still serve
-// (the idle reap excepted, which closes it), and so must a fresh one.
+// once under the daemon's label (a refused connection counts nothing), the
+// connection it ran on must still serve (the idle reap and the refusals
+// excepted, which close it), and so must a fresh one.
 func TestEndpointServesBothDaemons(t *testing.T) {
 	daemons := []struct {
 		label string
@@ -101,6 +134,7 @@ func TestEndpointServesBothDaemons(t *testing.T) {
 		sample string // formatted with the daemon's label
 	}{
 		{"oversized frame", 0, func(c *rawConn) {
+			c.hello(CodecJSON)
 			c.write(append(bytes.Repeat([]byte("x"), 8192), '\n'))
 			if r := c.reply(); r.Type != TypeError || !strings.Contains(r.Reason, "size limit") {
 				c.t.Fatalf("oversized frame answered with %+v, want a frame-size error", r)
@@ -108,11 +142,7 @@ func TestEndpointServesBothDaemons(t *testing.T) {
 			c.serves()
 		}, `wire_frames_oversized_total{site=%q}`},
 		{"undecodable binary frame", 0, func(c *rawConn) {
-			c.send(HelloEnvelope(CodecBinary))
-			if r := c.reply(); r.Type != TypeWelcome || r.Codec != CodecBinary {
-				c.t.Fatalf("hello answered with %+v, want a binary welcome", r)
-			}
-			c.codec = binaryCodec{}
+			c.hello(CodecBinary)
 			c.write([]byte{1, 0, 0, 0, 0xff}) // one payload byte: an unknown message code
 			if r := c.reply(); r.Type != TypeError {
 				c.t.Fatalf("undecodable frame answered with %+v, want an error", r)
@@ -120,18 +150,24 @@ func TestEndpointServesBothDaemons(t *testing.T) {
 			c.serves()
 		}, `wire_codec_negotiated_total{site=%q,codec="binary"}`},
 		{"mid-session hello", 0, func(c *rawConn) {
+			c.hello(CodecJSON)
 			c.serves()
 			c.send(HelloEnvelope(CodecBinary))
 			if r := c.reply(); r.Type != TypeError {
 				c.t.Fatalf("mid-session hello answered with %+v, want an error", r)
 			}
 			c.serves()
-		}, `wire_codec_negotiated_total{site=%q,codec="json-v1"}`},
+		}, `wire_codec_negotiated_total{site=%q,codec="json"}`},
 		{"bare v1 first frame", 0, func(c *rawConn) {
-			c.serves()
-			c.serves()
-		}, `wire_codec_negotiated_total{site=%q,codec="json-v1"}`},
+			c.send(Envelope{Type: TypeQuery, TaskID: 9999, ReqID: "q"})
+			c.refused("must open with a hello")
+		}, ""},
+		{"proto 1 hello", 0, func(c *rawConn) {
+			c.send(Envelope{Type: TypeHello, Proto: 1, Codecs: []string{CodecBinary}})
+			c.refused("unsupported proto 1")
+		}, ""},
 		{"idle reap", 100 * time.Millisecond, func(c *rawConn) {
+			c.hello(CodecJSON)
 			c.serves()
 			if _, err := c.br.ReadByte(); !errors.Is(err, io.EOF) {
 				c.t.Fatalf("idle connection read %v, want EOF from the reap", err)
@@ -144,9 +180,17 @@ func TestEndpointServesBothDaemons(t *testing.T) {
 				reg := obs.NewRegistry()
 				addr := d.start(t, reg, tc.idle)
 				tc.run(dialRaw(t, addr))
-				sample := fmt.Sprintf(tc.sample, d.label)
-				waitFor(t, sample+" == 1", func() bool { return promSamples(t, reg)[sample] == 1 })
-				dialRaw(t, addr).serves()
+				if tc.sample != "" {
+					sample := fmt.Sprintf(tc.sample, d.label)
+					waitFor(t, sample+" == 1", func() bool { return promSamples(t, reg)[sample] == 1 })
+				} else {
+					for name, v := range promSamples(t, reg) {
+						if strings.HasPrefix(name, "wire_codec_negotiated_total{") && v != 0 {
+							t.Fatalf("refused connection counted as negotiated: %s = %v", name, v)
+						}
+					}
+				}
+				dialSession(t, addr).serves()
 			})
 		}
 	}

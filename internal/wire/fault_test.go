@@ -385,7 +385,8 @@ func TestRequestTimeout(t *testing.T) {
 			if err != nil {
 				return
 			}
-			defer conn.Close() // hold it open, say nothing
+			defer conn.Close() // hold it open, say nothing after the welcome
+			_ = welcomeJSON(conn)
 		}
 	}()
 

@@ -11,63 +11,44 @@ import (
 // before the negotiated codec takes over.
 const handshakeLineMax = 16 * 1024
 
-// HelloEnvelope builds the v2 opening frame, offering codec names in
+// HelloEnvelope builds the opening frame, offering codec names in
 // preference order. The hello itself is always sent as a JSON line.
 func HelloEnvelope(codecs ...string) Envelope {
 	return Envelope{Type: TypeHello, Proto: ProtoV2, Codecs: codecs}
 }
 
-// helloReply computes the server's answer to an inbound hello and the
-// codec the connection switches to afterward. allowed restricts which
-// codecs the server will negotiate (nil allows every registered codec);
-// JSON is always available as the floor, so negotiation cannot fail —
-// only a malformed hello (bad proto) yields ok=false, answered with a
-// TypeError envelope while the connection stays on v1 JSON.
-func helloReply(env Envelope, allowed []string, siteID string) (reply Envelope, next Codec, ok bool) {
-	if env.Proto < ProtoV2 {
+// helloReply answers a connection's first frame and names the codec the
+// connection switches to afterward. Only a hello with proto 2 or later
+// opens a session; anything else yields ok=false and a TypeError reply,
+// after which the connection closes. The welcome names the first offered
+// codec that is built in, with JSON as the floor, so negotiation itself
+// cannot fail.
+func helloReply(env Envelope, siteID string) (reply Envelope, next Codec, ok bool) {
+	switch {
+	case env.Type != TypeHello:
+		return Envelope{Type: TypeError, ReqID: env.ReqID, Reason: "wire: connection must open with a hello"}, nil, false
+	case env.Proto < ProtoV2:
 		return Envelope{
 			Type:   TypeError,
 			ReqID:  env.ReqID,
 			Reason: fmt.Sprintf("wire: hello with unsupported proto %d", env.Proto),
 		}, nil, false
 	}
-	pick := CodecJSON
+	next = jsonCodec{}
 	for _, name := range env.Codecs {
-		if _, registered := CodecByName(name); !registered {
-			continue
+		if c, known := CodecByName(name); known {
+			next = c
+			break
 		}
-		if !codecAllowed(allowed, name) {
-			continue
-		}
-		pick = name
-		break
 	}
-	next, _ = CodecByName(pick)
-	reply = Envelope{Type: TypeWelcome, Proto: ProtoV2, Codec: pick, SiteID: siteID, ReqID: env.ReqID}
+	reply = Envelope{Type: TypeWelcome, Proto: ProtoV2, Codec: next.Name(), SiteID: siteID, ReqID: env.ReqID}
 	return reply, next, true
-}
-
-// codecAllowed reports whether name is in the allow list. A nil/empty
-// list allows everything; JSON is always allowed — it is the mandatory
-// fallback both sides can speak.
-func codecAllowed(allowed []string, name string) bool {
-	if name == CodecJSON || len(allowed) == 0 {
-		return true
-	}
-	for _, a := range allowed {
-		if a == name {
-			return true
-		}
-	}
-	return false
 }
 
 // clientHandshake runs the hello/welcome exchange on a freshly dialed
 // connection and returns the codec the rest of the connection speaks.
 // prefer names the codec the client wants; JSON is always offered as the
-// fallback. A v1 server answers the unknown hello with a TypeError
-// envelope and keeps serving, so that reply downgrades the connection to
-// v1 JSON rather than failing the dial.
+// fallback. A refused hello fails the dial.
 func clientHandshake(conn net.Conn, prefer string, timeout time.Duration) (Codec, error) {
 	offers := []string{prefer}
 	if prefer != CodecJSON {
@@ -103,9 +84,7 @@ func clientHandshake(conn net.Conn, prefer string, timeout time.Duration) (Codec
 		}
 		return c, nil
 	case TypeError:
-		// A v1 peer: it rejected the hello as an unknown message but the
-		// connection is healthy, so fall back to v1 JSON.
-		return defaultCodec(), nil
+		return nil, fmt.Errorf("wire: hello refused: %s", env.Reason)
 	default:
 		return nil, fmt.Errorf("wire: unexpected %q reply to hello", env.Type)
 	}

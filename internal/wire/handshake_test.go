@@ -1,10 +1,9 @@
 package wire
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,6 +21,18 @@ func dialServerCodec(t *testing.T, srv *Server, codec string) *SiteClient {
 	}
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// welcomeJSON plays a fake server's side of the handshake: it reads the
+// hello and answers with a JSON welcome.
+func welcomeJSON(conn net.Conn) error {
+	if _, err := readHandshakeLine(conn); err != nil {
+		return err
+	}
+	welcome := Envelope{Type: TypeWelcome, Proto: ProtoV2, Codec: CodecJSON}
+	out, _ := jsonCodec{}.Append(nil, &welcome)
+	_, err := conn.Write(out)
+	return err
 }
 
 // exerciseExchange drives one full propose/award/settle/query cycle,
@@ -45,23 +56,10 @@ func exerciseExchange(t *testing.T, c *SiteClient, id task.ID) {
 	}
 }
 
-// TestHandshakeMatrix is the compatibility matrix: every pairing of v1
-// and v2 peers must land on a working codec, and the negotiated-codec
-// counter must attribute each connection correctly.
+// TestHandshakeMatrix pins codec choice: the welcome names the first
+// offered codec that is built in, with JSON as the floor, and the
+// negotiated-codec counter attributes each connection to that codec.
 func TestHandshakeMatrix(t *testing.T) {
-	t.Run("v1 client, v2 server", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		srv := startServer(t, ServerConfig{Metrics: reg})
-		c := dialServer(t, srv) // no handshake: bare v1 envelopes
-		exerciseExchange(t, c, 1)
-		if got := c.NegotiatedCodec(); got != CodecJSON {
-			t.Fatalf("NegotiatedCodec = %q, want %q", got, CodecJSON)
-		}
-		if n := srv.ep.m.codecs.With("test-site", codecLabelV1).Value(); n != 1 {
-			t.Fatalf("json-v1 connections counted = %v, want 1", n)
-		}
-	})
-
 	t.Run("v2 client, v2 server, binary", func(t *testing.T) {
 		reg := obs.NewRegistry()
 		srv := startServer(t, ServerConfig{Metrics: reg})
@@ -76,27 +74,45 @@ func TestHandshakeMatrix(t *testing.T) {
 	})
 
 	t.Run("v2 client, v2 server, json preferred", func(t *testing.T) {
-		srv := startServer(t, ServerConfig{})
+		reg := obs.NewRegistry()
+		srv := startServer(t, ServerConfig{Metrics: reg})
 		c := dialServerCodec(t, srv, CodecJSON)
 		if got := c.NegotiatedCodec(); got != CodecJSON {
 			t.Fatalf("NegotiatedCodec = %q, want %q", got, CodecJSON)
 		}
 		exerciseExchange(t, c, 3)
+		if n := srv.ep.m.codecs.With("test-site", CodecJSON).Value(); n != 1 {
+			t.Fatalf("json connections counted = %v, want 1", n)
+		}
 	})
 
-	t.Run("v2 client, server restricted to json", func(t *testing.T) {
-		srv := startServer(t, ServerConfig{Codecs: []string{CodecJSON}})
-		c := dialServerCodec(t, srv, CodecBinary)
-		if got := c.NegotiatedCodec(); got != CodecJSON {
-			t.Fatalf("NegotiatedCodec = %q, want %q (server allows only json)", got, CodecJSON)
-		}
-		exerciseExchange(t, c, 4)
-	})
+	// Offers the dialer cannot make — an unknown name first, or nothing at
+	// all — go through a raw hello.
+	for _, tc := range []struct {
+		name   string
+		offers []string
+	}{
+		{"unknown codec then json", []string{"gopher", CodecJSON}},
+		{"nothing offered", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv := startServer(t, ServerConfig{Metrics: reg})
+			c := dialRaw(t, srv.Addr())
+			c.send(HelloEnvelope(tc.offers...))
+			if r := c.reply(); r.Type != TypeWelcome || r.Codec != CodecJSON || r.Proto != ProtoV2 {
+				t.Fatalf("hello offering %q answered with %+v, want a json welcome", tc.offers, r)
+			}
+			c.serves()
+			if n := srv.ep.m.codecs.With("test-site", CodecJSON).Value(); n != 1 {
+				t.Fatalf("json connections counted = %v, want 1", n)
+			}
+		})
+	}
 
 	t.Run("v2 client, v1 server", func(t *testing.T) {
-		// A v1 server does not understand hello: it answers with a TypeError
-		// envelope and keeps serving JSON. The client must downgrade to v1
-		// JSON instead of failing the dial.
+		// A server that does not understand hello answers it with a
+		// TypeError envelope: the dial fails rather than guessing a codec.
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -111,133 +127,114 @@ func TestHandshakeMatrix(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			br := bufio.NewReader(conn)
-			var frame []byte
-			for {
-				line, err := readFrame(br, DefaultMaxFrameBytes, &frame)
-				if err != nil {
-					return
-				}
-				var env Envelope
-				if err := decodeJSONEnvelope(line, &env); err != nil {
-					continue
-				}
-				var reply Envelope
-				if env.Type == TypeBid {
-					reply = Envelope{Type: TypeReject, TaskID: env.TaskID, Reason: "v1 stub declines"}
-				} else {
-					reply = Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
-				}
-				reply.ReqID = env.ReqID
-				out, _ := jsonCodec{}.Append(nil, &reply)
-				if _, err := conn.Write(out); err != nil {
-					return
-				}
+			if _, err := readHandshakeLine(conn); err != nil {
+				return
 			}
+			reply := Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", TypeHello)}
+			out, _ := jsonCodec{}.Append(nil, &reply)
+			_, _ = conn.Write(out)
 		}()
 
 		c, err := DialConfig(ln.Addr().String(), ClientConfig{Codec: CodecBinary})
-		if err != nil {
-			t.Fatalf("dial against v1 server failed instead of downgrading: %v", err)
+		if err == nil {
+			c.Close()
+			t.Fatal("dial against a server refusing the hello succeeded, want an error")
 		}
-		defer c.Close()
-		if got := c.NegotiatedCodec(); got != CodecJSON {
-			t.Fatalf("NegotiatedCodec = %q, want %q after v1 downgrade", got, CodecJSON)
+		if !strings.Contains(err.Error(), "hello refused") {
+			t.Fatalf("dial error %v, want a refused hello", err)
 		}
-		if _, ok, err := c.Propose(testBid(5, 5)); err != nil || ok {
-			t.Fatalf("propose against stub: ok=%v err=%v, want clean reject", ok, err)
-		}
-		c.Close()
 		wg.Wait()
 	})
 }
 
-// TestHandshakeMalformedHello pins the failure mode the matrix demands:
-// a hello with an unsupported proto is answered with a TypeError envelope
-// — not a dropped connection — and the session continues on v1 JSON.
-func TestHandshakeMalformedHello(t *testing.T) {
+// TestDialConfigCodec pins what a dialer's codec name means: empty is
+// binary, a built-in name is honored, and a name that is not built in
+// fails before any connection is made.
+func TestDialConfigCodec(t *testing.T) {
 	srv := startServer(t, ServerConfig{})
-	conn, err := net.Dial("tcp", srv.Addr())
+	for _, tc := range []struct {
+		name, codec, want string // want "" means the dial must fail
+	}{
+		{"empty", "", CodecBinary},
+		{"json", CodecJSON, CodecJSON},
+		{"binary", CodecBinary, CodecBinary},
+		{"unknown", "binry", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := DialConfig(srv.Addr(), ClientConfig{Codec: tc.codec})
+			if tc.want == "" {
+				if err == nil {
+					c.Close()
+					t.Fatalf("DialConfig with codec %q succeeded, want an error", tc.codec)
+				}
+				if !strings.Contains(err.Error(), "unknown codec") {
+					t.Fatalf("DialConfig error %v, want an unknown-codec error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if got := c.NegotiatedCodec(); got != tc.want {
+				t.Fatalf("NegotiatedCodec = %q, want %q", got, tc.want)
+			}
+		})
+	}
+	// Dial is DialConfig with the zero config: it negotiates binary.
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
-	send := func(e Envelope) Envelope {
-		t.Helper()
-		line, err := jsonCodec{}.Append(nil, &e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(line); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := readHandshakeLine(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reply Envelope
-		if err := decodeJSONEnvelope(raw, &reply); err != nil {
-			t.Fatal(err)
-		}
-		return reply
+	defer c.Close()
+	if got := c.NegotiatedCodec(); got != CodecBinary {
+		t.Fatalf("Dial negotiated %q, want %q", got, CodecBinary)
 	}
+}
+
+// TestHandshakeMalformedHello pins the failure mode inside a session: a
+// hello with an unsupported proto is answered with a TypeError envelope
+// echoing its request ID — not a dropped connection — and the session
+// continues. (As a first frame it closes the connection; see
+// TestEndpointServesBothDaemons.)
+func TestHandshakeMalformedHello(t *testing.T) {
+	srv := startServer(t, ServerConfig{})
+	c := dialSession(t, srv.Addr())
 
 	// Proto 1 in a hello is malformed: v2 is the first version that has one.
-	reply := send(Envelope{Type: TypeHello, Proto: ProtoV1, Codecs: []string{CodecBinary}, ReqID: "h1"})
+	c.send(Envelope{Type: TypeHello, Proto: 1, Codecs: []string{CodecBinary}, ReqID: "h1"})
+	reply := c.reply()
 	if reply.Type != TypeError {
 		t.Fatalf("malformed hello answered with %q, want %q", reply.Type, TypeError)
 	}
 	if reply.ReqID != "h1" {
 		t.Fatalf("error reply dropped the request ID: %+v", reply)
 	}
-	// The connection must still serve v1 traffic.
-	bid := testBid(7, 5)
-	reply = send(BidEnvelope(bid))
-	if reply.Type != TypeServerBid {
+	// The connection must still serve.
+	c.send(BidEnvelope(testBid(7, 5)))
+	if reply = c.reply(); reply.Type != TypeServerBid {
 		t.Fatalf("post-error bid answered with %q, want %q", reply.Type, TypeServerBid)
 	}
 }
 
-// TestHandshakeHelloMidSession checks that a hello after the first frame
+// TestHandshakeHelloMidSession checks that a hello after the opening one
 // is rejected without dropping the connection: codec switches are only
 // legal as the opening exchange.
 func TestHandshakeHelloMidSession(t *testing.T) {
 	srv := startServer(t, ServerConfig{})
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	c := dialSession(t, srv.Addr())
 
-	send := func(e Envelope) Envelope {
-		t.Helper()
-		line, err := jsonCodec{}.Append(nil, &e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(line); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := readHandshakeLine(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reply Envelope
-		if err := decodeJSONEnvelope(raw, &reply); err != nil {
-			t.Fatal(err)
-		}
-		return reply
-	}
-
-	if reply := send(BidEnvelope(testBid(8, 5))); reply.Type != TypeServerBid {
+	c.send(BidEnvelope(testBid(8, 5)))
+	if reply := c.reply(); reply.Type != TypeServerBid {
 		t.Fatalf("opening bid answered with %q", reply.Type)
 	}
-	if reply := send(HelloEnvelope(CodecBinary)); reply.Type != TypeError {
+	c.send(HelloEnvelope(CodecBinary))
+	if reply := c.reply(); reply.Type != TypeError {
 		t.Fatalf("mid-session hello answered with %q, want %q", reply.Type, TypeError)
 	}
 	// Still serving.
-	if reply := send(Envelope{Type: TypeQuery, TaskID: 9999}); reply.Type != TypeStatus {
+	c.send(Envelope{Type: TypeQuery, TaskID: 9999})
+	if reply := c.reply(); reply.Type != TypeStatus {
 		t.Fatalf("post-hello query answered with %q, want %q", reply.Type, TypeStatus)
 	}
 }
@@ -285,11 +282,9 @@ func TestBrokerHandshake(t *testing.T) {
 	}
 }
 
-// TestBrokerSiteCodecDefaults extends the handshake-fallback matrix to
-// the broker's site-facing dials: the default BrokerConfig negotiates
-// binary, SiteCodecV1 opts out of the handshake entirely, and a v1 site
-// downgrades the lane to JSON while declining digest subscriptions
-// without poisoning the exchange path.
+// TestBrokerSiteCodecDefaults pins the broker's site-facing dials: the
+// default BrokerConfig negotiates binary and the lane carries a full
+// exchange.
 func TestBrokerSiteCodecDefaults(t *testing.T) {
 	t.Run("default negotiates binary", func(t *testing.T) {
 		srv := startServer(t, ServerConfig{})
@@ -305,89 +300,15 @@ func TestBrokerSiteCodecDefaults(t *testing.T) {
 		exerciseExchange(t, c, 21)
 	})
 
-	t.Run("v1 opt-out skips the handshake", func(t *testing.T) {
+	t.Run("unknown codec fails the broker", func(t *testing.T) {
 		srv := startServer(t, ServerConfig{})
-		b, err := NewBrokerServer("127.0.0.1:0", BrokerConfig{
-			SiteAddrs: []string{srv.Addr()},
-			SiteCodec: SiteCodecV1,
-		})
-		if err != nil {
-			t.Fatal(err)
+		b, err := NewBrokerServer("127.0.0.1:0", BrokerConfig{SiteAddrs: []string{srv.Addr()}, SiteCodec: "binry"})
+		if err == nil {
+			b.Close()
+			t.Fatal("broker with an unknown site codec started, want an error")
 		}
-		defer b.Close()
-		if got := b.sites[0].primary.NegotiatedCodec(); got != CodecJSON {
-			t.Fatalf("v1 opt-out lane codec = %q, want %q", got, CodecJSON)
-		}
-		c := dialBroker(t, b)
-		exerciseExchange(t, c, 22)
-	})
-
-	t.Run("v1 site downgrades and declines digests", func(t *testing.T) {
-		// A v1 site stub: answers bids with rejects, everything else —
-		// including hello and digest_sub — with TypeError, on any number
-		// of connections.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		go func() {
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func(conn net.Conn) {
-					defer conn.Close()
-					br := bufio.NewReader(conn)
-					var frame []byte
-					for {
-						line, err := readFrame(br, DefaultMaxFrameBytes, &frame)
-						if err != nil {
-							return
-						}
-						var env Envelope
-						if err := decodeJSONEnvelope(line, &env); err != nil {
-							continue
-						}
-						var reply Envelope
-						if env.Type == TypeBid {
-							reply = Envelope{Type: TypeReject, TaskID: env.TaskID, Reason: "v1 stub declines"}
-						} else {
-							reply = Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
-						}
-						reply.ReqID = env.ReqID
-						out, _ := jsonCodec{}.Append(nil, &reply)
-						if _, err := conn.Write(out); err != nil {
-							return
-						}
-					}
-				}(conn)
-			}
-		}()
-
-		b, err := NewBrokerServer("127.0.0.1:0", BrokerConfig{
-			SiteAddrs: []string{ln.Addr().String()},
-			Route:     RouteTopK,
-		})
-		if err != nil {
-			t.Fatalf("broker against v1 site failed instead of downgrading: %v", err)
-		}
-		defer b.Close()
-		if got := b.sites[0].primary.NegotiatedCodec(); got != CodecJSON {
-			t.Fatalf("lane against v1 site = %q, want %q downgrade", got, CodecJSON)
-		}
-
-		// The digest subscription is declined, not fatal.
-		if err := b.sites[0].primary.SubscribeDigests(defaultDigestInterval); !errors.Is(err, ErrDigestUnsupported) {
-			t.Fatalf("digest subscription against v1 site: %v, want ErrDigestUnsupported", err)
-		}
-
-		// The exchange path still works: with no digests anywhere top-k
-		// falls back to fan-out and relays the stub's clean reject.
-		c := dialBroker(t, b)
-		if _, ok, err := c.Propose(testBid(23, 5)); err != nil || ok {
-			t.Fatalf("propose via broker against v1 stub: ok=%v err=%v, want clean decline", ok, err)
+		if !strings.Contains(err.Error(), "unknown codec") {
+			t.Fatalf("broker error %v, want an unknown-codec error", err)
 		}
 	})
 }

@@ -263,21 +263,21 @@ func TestServerShedsSpentDeadline(t *testing.T) {
 	}
 }
 
-// TestHandshakeUnderShed drives the v1 and v2 handshakes against a site
-// that is actively shedding: negotiation must complete and the shed must
-// come back as a fast priced reject on both codecs.
+// TestHandshakeUnderShed drives the json and binary handshakes against a
+// site that is actively shedding: negotiation must complete and the shed
+// must come back as a fast priced reject on both codecs.
 func TestHandshakeUnderShed(t *testing.T) {
 	srv := startServer(t, ServerConfig{Processors: 1, MaxPending: 2})
 	c := dialServer(t, srv)
 	fillSite(t, c, 3)
 
-	for _, codec := range []string{"", CodecBinary} {
+	for _, codec := range []string{CodecJSON, CodecBinary} {
 		nc, err := DialConfig(srv.Addr(), ClientConfig{Codec: codec})
 		if err != nil {
 			t.Fatalf("dial with codec %q under shed: %v", codec, err)
 		}
-		if codec == CodecBinary && nc.NegotiatedCodec() != CodecBinary {
-			t.Fatalf("handshake under shed negotiated %q, want %q", nc.NegotiatedCodec(), CodecBinary)
+		if nc.NegotiatedCodec() != codec {
+			t.Fatalf("handshake under shed negotiated %q, want %q", nc.NegotiatedCodec(), codec)
 		}
 		start := time.Now()
 		_, ok, reason, err := nc.ProposeDetail(testBid(60, 1))

@@ -87,10 +87,6 @@ type ServerConfig struct {
 	// (DESIGN.md §14). The field remains only because the benchmark harness
 	// still sets it, and goes once the benchmark stops setting it.
 	Shards int
-	// Codecs restricts which wire codecs the server will negotiate in the
-	// v2 hello/welcome handshake. Empty allows every registered codec; JSON
-	// is always allowed as the mandatory fallback.
-	Codecs []string
 }
 
 func (c ServerConfig) crashRegime() string {
@@ -248,15 +244,9 @@ func NewServer(addr string, cfg ServerConfig) (*Server, error) {
 	if r := cfg.crashRegime(); r != RegimeRequeue && r != RegimeDefault {
 		return nil, fmt.Errorf("wire: unknown crash regime %q", cfg.CrashRegime)
 	}
-	for _, name := range cfg.Codecs {
-		if _, ok := CodecByName(name); !ok {
-			return nil, fmt.Errorf("wire: unknown codec %q", name)
-		}
-	}
 	log := cfg.Logger.With("site", cfg.SiteID)
 	ep, err := listen(addr, endpointConfig{
 		label:         cfg.SiteID,
-		codecs:        cfg.Codecs,
 		idleTimeout:   cfg.IdleTimeout,
 		writeTimeout:  cfg.WriteTimeout,
 		maxFrameBytes: cfg.MaxFrameBytes,

@@ -11,12 +11,11 @@
 //	site -> client: {"type":"contract", ...}       contract opened
 //	site -> client: {"type":"settled", ...}        pushed at task completion
 //
-// Every connection opens speaking protocol v1: newline-delimited JSON
-// objects, one client's traffic per connection. A v2 client may open with
-// a hello instead, offering codec names; the server answers with a
-// welcome naming the codec both sides switch to for the rest of the
-// connection (see Codec). Peers that never send a hello stay on v1 JSON,
-// byte-for-byte compatible with every earlier release.
+// Every connection carries one client's traffic and opens with a hello, a
+// JSON line offering codec names; the server answers with a welcome
+// naming the codec both sides switch to for the rest of the connection
+// (see Codec). A connection that opens with anything else is answered
+// with one error and closed.
 package wire
 
 import (
@@ -44,12 +43,10 @@ const (
 	// how a client reconciles after a site restart (DESIGN.md §10).
 	TypeQuery  = "query"
 	TypeStatus = "status"
-	// TypeHello opens codec negotiation: a v2 client's first frame, always
-	// JSON, carrying Proto and the codec names it offers in preference
-	// order. TypeWelcome is the server's JSON answer naming the codec the
-	// connection switches to. A v1 server answers hello with TypeError and
-	// keeps serving, which is how a v2 client detects it must stay on
-	// JSON.
+	// TypeHello opens codec negotiation: every connection's first frame,
+	// always JSON, carrying Proto and the codec names it offers in
+	// preference order. TypeWelcome is the server's JSON answer naming the
+	// codec the connection switches to.
 	TypeHello   = "hello"
 	TypeWelcome = "welcome"
 	// TypeDigestSub subscribes the requesting connection to periodic load
@@ -58,17 +55,13 @@ const (
 	// the effective interval before the first push. TypeDigest is the
 	// pushed digest itself — queue depth, running count, backlog horizon,
 	// shed floor, shed state — demultiplexed client-side like TypeSettled.
-	// A v1 site answers the subscription with TypeError, which subscribers
-	// treat as "no digests here", not a failure (DESIGN.md §16).
 	TypeDigestSub = "digest_sub"
 	TypeDigest    = "digest"
 )
 
-// Protocol versions exchanged in hello/welcome.
-const (
-	ProtoV1 = 1 // bare JSON envelopes, no handshake
-	ProtoV2 = 2 // hello/welcome codec negotiation
-)
+// ProtoV2 is the protocol version exchanged in hello/welcome; a hello
+// naming an earlier version is refused.
+const ProtoV2 = 2
 
 // Contract states reported by TypeStatus replies.
 const (
