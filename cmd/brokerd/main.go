@@ -1,7 +1,10 @@
 // Command brokerd runs a standalone negotiation broker (Figure 1): clients
 // submit bids to the broker exactly as they would to a site, and the
-// broker fans each bid out to its configured task-service sites, selects
-// the best server bid, forwards the award, and relays settlements.
+// broker quotes each bid at its configured task-service sites, selects
+// the best server bid, passes the award to that site, and relays
+// settlements. Brokers share no state: several may front the same sites,
+// and a client whose broker dies dials another one and recovers its
+// running contracts there by query.
 package main
 
 import (
@@ -30,8 +33,6 @@ func main() {
 		codec     = flag.String("codec", "", "codec to request when dialing sites: json|binary (empty = binary)")
 		topk      = flag.Int("topk", 4, "quote only the k sites ranked best by their load digests (0 = full fan-out: quote every breaker-admitted site)")
 		digestInt = flag.Duration("digest-interval", 0, "load-digest push cadence requested from sites (0 = default of 250ms)")
-		peers     = flag.String("peers", "", "comma-separated peer broker addresses for consistent-hash sharding (empty = standalone)")
-		advertise = flag.String("advertise", "", "this broker's own address in the peer ring (empty = -addr)")
 		cbFails   = flag.Int("circuit-failures", 0, "consecutive site failures that trip its circuit breaker open (0 = default of 3, negative disables)")
 		cbCool    = flag.Duration("circuit-cooldown", 0, "open-breaker wait before a half-open probe (0 = default of 1s)")
 		retryBud  = flag.Float64("retry-budget", 0, "retry credit earned per successful site exchange (0 = default of 0.25, negative = unlimited blind retry)")
@@ -85,17 +86,6 @@ func main() {
 	for _, sa := range strings.Split(*sites, ",") {
 		cfg.SiteAddrs = append(cfg.SiteAddrs, strings.TrimSpace(sa))
 	}
-	if *peers != "" {
-		for _, pa := range strings.Split(*peers, ",") {
-			if pa = strings.TrimSpace(pa); pa != "" {
-				cfg.Peers = append(cfg.Peers, pa)
-			}
-		}
-		cfg.SelfID = *advertise
-		if cfg.SelfID == "" {
-			cfg.SelfID = *addr
-		}
-	}
 	logger := obs.NewLogger(os.Stderr, lv, "brokerd")
 	if !*quiet {
 		cfg.Logger = logger
@@ -130,9 +120,6 @@ func main() {
 	fmt.Printf("broker listening on %s for %d site(s), route=%s", b.Addr(), len(cfg.SiteAddrs), cfg.Route)
 	if cfg.Route == wire.RouteTopK {
 		fmt.Printf(" k=%d", cfg.TopK)
-	}
-	if len(cfg.Peers) > 0 {
-		fmt.Printf(", %d peer(s) as %s", len(cfg.Peers), cfg.SelfID)
 	}
 	fmt.Println()
 

@@ -60,7 +60,6 @@ const (
 	binFieldFloor
 	binFieldShedding
 	binFieldInterval
-	binFieldForwarded
 	numBinFields
 )
 
@@ -158,7 +157,6 @@ func (binaryCodec) Append(dst []byte, e *Envelope) ([]byte, error) {
 	setIf(e.Floor != 0, binFieldFloor)
 	setIf(e.Shedding, binFieldShedding)
 	setIf(e.Interval != 0, binFieldInterval)
-	setIf(e.Forwarded, binFieldForwarded)
 	dst = binary.AppendUvarint(dst, bits)
 
 	has := func(field int) bool { return bits&(1<<field) != 0 }
@@ -240,7 +238,7 @@ func (binaryCodec) Append(dst []byte, e *Envelope) ([]byte, error) {
 	if has(binFieldFloor) {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Floor))
 	}
-	// Shedding and Forwarded are booleans: the presence bit is the value.
+	// Shedding is a boolean: the presence bit is the value.
 	if has(binFieldInterval) {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.Interval))
 	}
@@ -473,7 +471,6 @@ func decodeBinary(b []byte, e *Envelope) error {
 	if has(binFieldInterval) {
 		e.Interval = r.float()
 	}
-	e.Forwarded = has(binFieldForwarded)
 	if r.err != nil {
 		return r.err
 	}

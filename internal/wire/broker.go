@@ -47,15 +47,6 @@ type BrokerConfig struct {
 	// digests at; zero means the default (250ms). It only matters under
 	// RouteTopK.
 	DigestInterval time.Duration
-	// Peers are the other brokers in a sharded deployment: each client is
-	// owned by exactly one broker under rendezvous hashing, and a bid or
-	// award that lands on the wrong broker is forwarded to its owner.
-	// Empty means an unsharded, standalone broker.
-	Peers []string
-	// SelfID is this broker's own identity in the peer ring — the address
-	// its peers dial it at. Empty means the listener address, which only
-	// works when peers dial that exact string.
-	SelfID string
 	// CircuitFailures is the consecutive-failure streak that trips a
 	// site's circuit breaker open; zero means the default (3), negative
 	// disables the breakers entirely (DESIGN.md §15).
@@ -122,10 +113,10 @@ func (c BrokerConfig) digestInterval() time.Duration {
 func (c BrokerConfig) topkEnabled() bool { return c.Route == RouteTopK }
 
 // laneConfig is the client configuration for every lane the broker dials —
-// site primaries, hedge lanes, and peer lanes. The dial (including the
-// codec handshake) is bounded by the same budget as a request: a redial
-// against a wedged host must fail within the request timeout, or the
-// lane's serialized exchanges stall faster than its breaker can open.
+// site primaries and hedge lanes. The dial (including the codec handshake)
+// is bounded by the same budget as a request: a redial against a wedged
+// host must fail within the request timeout, or the lane's serialized
+// exchanges stall faster than its breaker can open.
 func (c BrokerConfig) laneConfig() ClientConfig {
 	return ClientConfig{
 		RequestTimeout: c.RequestTimeout,
@@ -152,7 +143,7 @@ func (c BrokerConfig) parkedCap() int {
 // maxQuotes bounds the quotes the broker remembers: a quote still standing
 // when maxQuotes newer ones have been issued is forgotten. Without the
 // bound, every bid whose client never awards — it disconnected, or it
-// quoted through several brokers and awarded at one — would stay forever.
+// took another offer — would stay forever.
 const maxQuotes = 1024
 
 // brokerState is where a brokered task stands on the broker's book.
@@ -161,8 +152,8 @@ type brokerState uint8
 const (
 	// brokerQuoted: a site's quote won the bid and stands for the award.
 	brokerQuoted brokerState = iota
-	// brokerAwarded: the award left for the quoting site or a peer broker;
-	// the record routes the eventual settlement to its owner.
+	// brokerAwarded: the award left for the quoting site; the record
+	// routes the eventual settlement to its owner.
 	brokerAwarded
 	// brokerSettled: the settlement arrived and the record left the book;
 	// an award reply still in flight sees this and records nothing.
@@ -174,11 +165,10 @@ type brokered struct {
 	id    task.ID
 	state brokerState
 	// site is the quoting site while quoted and the holder once the site
-	// acked the award; nil while the award is in flight or forwarded.
+	// acked the award; nil while the award is in flight.
 	site  *brokerSite
 	owner *serverConn      // client the settlement goes to; nil after a disconnect
 	terms market.ServerBid // contract terms once the holder is known, for lateness
-	peer  string           // ring id of the peer broker a forwarded award went to
 }
 
 // BrokerServer is Figure 1's broker as a standalone process: clients speak
@@ -198,12 +188,6 @@ type BrokerServer struct {
 	quotes    [maxQuotes]*brokered // the latest quotes, a ring in issue order
 	nextQuote int                  // ring slot the next quote takes, evicting its occupant
 	parked    []Envelope           // settlements held for disconnected owners (bounded ring)
-
-	// Peer ring for consistent-hash broker sharding (DESIGN.md §16).
-	peerMu    sync.Mutex
-	selfID    string
-	ring      []string
-	peerLanes map[string]*SiteClient
 
 	stop chan struct{} // closed by Close; stops the digest loop
 
@@ -280,12 +264,11 @@ type brokerMetrics struct {
 	deadlineExpired    *obs.Counter
 	defaultReconciled  *obs.CounterVec
 
-	// Digest routing and broker sharding (DESIGN.md §16).
+	// Digest routing (DESIGN.md §16).
 	digestAge       *obs.GaugeVec
 	routeCandidates *obs.Histogram
 	routeFallback   *obs.Counter
 	routed          *obs.CounterVec
-	peerForwarded   *obs.CounterVec
 }
 
 func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
@@ -309,7 +292,6 @@ func newBrokerMetrics(reg *obs.Registry) brokerMetrics {
 		routeCandidates: reg.Histogram("broker_route_candidates", "Candidate sites quoted per bid after routing.", []float64{0, 1, 2, 4, 8, 16, 32, 64}).With(),
 		routeFallback:   reg.Counter("broker_route_fallback_total", "Bids routed by full fan-out because fewer than k digests were fresh.").With(),
 		routed:          reg.Counter("broker_routed_total", "Bids quoted to each site after routing.", "site"),
-		peerForwarded:   reg.Counter("broker_peer_forwarded_total", "Envelopes forwarded to the owning broker shard.", "peer"),
 	}
 }
 
@@ -322,12 +304,11 @@ func NewBrokerServer(addr string, cfg BrokerConfig) (*BrokerServer, error) {
 		cfg.Selector = market.BestYield{}
 	}
 	b := &BrokerServer{
-		cfg:       cfg,
-		eo:        newExchangeObs(cfg.Metrics, cfg.Logger.With("role", "broker"), cfg.Tracer, "broker"),
-		m:         newBrokerMetrics(cfg.Metrics),
-		book:      make(map[task.ID]*brokered),
-		peerLanes: make(map[string]*SiteClient),
-		stop:      make(chan struct{}),
+		cfg:  cfg,
+		eo:   newExchangeObs(cfg.Metrics, cfg.Logger.With("role", "broker"), cfg.Tracer, "broker"),
+		m:    newBrokerMetrics(cfg.Metrics),
+		book: make(map[task.ID]*brokered),
+		stop: make(chan struct{}),
 	}
 	for _, sa := range cfg.SiteAddrs {
 		sc, err := DialConfig(sa, cfg.laneConfig())
@@ -360,13 +341,6 @@ func NewBrokerServer(addr string, cfg BrokerConfig) (*BrokerServer, error) {
 		return nil, err
 	}
 	b.ep = ep
-	if len(cfg.Peers) > 0 {
-		self := cfg.SelfID
-		if self == "" {
-			self = b.Addr()
-		}
-		b.SetPeers(self, cfg.Peers)
-	}
 	if cfg.topkEnabled() {
 		ep.spawn(b.digestLoop)
 	}
@@ -385,11 +359,6 @@ func (b *BrokerServer) Close() error {
 		return nil
 	}
 	b.closeSites()
-	b.peerMu.Lock()
-	for _, lane := range b.peerLanes {
-		_ = lane.Close()
-	}
-	b.peerMu.Unlock()
 	return err
 }
 
@@ -399,23 +368,15 @@ func (b *BrokerServer) closeSites() {
 	}
 }
 
-// handle answers one request on a client connection, forwarding a bid
-// whose client another broker of the ring owns.
+// handle answers one request on a client connection.
 func (b *BrokerServer) handle(sc *serverConn, env Envelope) Envelope {
 	switch env.Type {
 	case TypeBid:
-		if peer := b.peerOwner(env); peer != "" {
-			return b.forwardBid(peer, env)
-		}
 		return b.handleBid(env)
 	case TypeAward:
-		return b.routeAward(env, sc)
+		return b.handleAward(env, sc)
 	case TypeQuery:
-		reply := b.handleQuery(env, sc)
-		if reply.ContractState == ContractUnknown && !env.Forwarded {
-			reply = b.queryPeers(env, sc, reply)
-		}
-		return reply
+		return b.handleQuery(env, sc)
 	}
 	return Envelope{Type: TypeError, Reason: fmt.Sprintf("unexpected message %q", env.Type)}
 }
@@ -457,7 +418,7 @@ func (b *BrokerServer) forgetLocked(r *brokered) {
 }
 
 // awardedLocked returns id's awarded record, opening one (in place of any
-// quote) when the broker learns of the contract from a site or a peer.
+// quote) when a site's query answer tells the broker of the contract.
 // Callers must hold b.mu.
 func (b *BrokerServer) awardedLocked(id task.ID) *brokered {
 	r := b.book[id]

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -69,8 +70,10 @@ func codecTestEnvelopes() []Envelope {
 		{Type: TypeDigest, SiteID: "site-a", Queue: 12, Running: 4, Procs: 4, Backlog: 37.5, Floor: 1.25, Shedding: true, Interval: 250},
 		{Type: TypeDigest, SiteID: "site-b"},                                    // idle site: all-zero digest
 		{Type: TypeDigest, SiteID: "site-c", Queue: -1, Running: -2, Procs: -3}, // counts are varints, negatives survive
-		{Type: TypeBid, TaskID: 5, Runtime: 1, Forwarded: true},                 // peer-forwarded loop guard
-		{Type: TypeAward, TaskID: 5, Runtime: 1, SiteID: "site-a", Forwarded: true},
+		// Query replies after a broker failover: an open contract, re-adopted
+		// with its terms, and one that no site holds.
+		{Type: TypeStatus, TaskID: 1, SiteID: "site-a", ContractState: ContractOpen, ExpectedCompletion: 2000, ExpectedPrice: 19990.5},
+		{Type: TypeStatus, TaskID: 2, SiteID: "broker", ContractState: ContractUnknown},
 	}
 }
 
@@ -111,6 +114,9 @@ func TestBinaryRejectsNonFinite(t *testing.T) {
 // TestBinaryDecodeErrors exercises the recoverable-error contract:
 // malformed payloads surface as ProtocolError with the stream positioned
 // at the next frame, and oversized frames as ErrTooLong after a resync.
+// A presence bit at or above numBinFields names a field this decoder does
+// not know (a retired one, say): the frame is refused, never decoded with
+// the bit ignored.
 func TestBinaryDecodeErrors(t *testing.T) {
 	bc, _ := CodecByName(CodecBinary)
 	good, err := bc.Append(nil, &Envelope{Type: TypeBid, TaskID: 1, Runtime: 2})
@@ -122,23 +128,32 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		b := []byte{byte(len(payload)), 0, 0, 0}
 		return append(b, payload...)
 	}
+	// unknownBit is a bid frame with task ID 1 and presence bit b set.
+	unknownBit := func(b int) []byte {
+		return frame(append(append([]byte{1}, binary.AppendUvarint(nil, 1<<binFieldTaskID|1<<b)...), 1)...)
+	}
+	const unknownFields = "unknown binary envelope fields"
 	cases := []struct {
 		name string
 		raw  []byte
+		want string // substring of the error, when pinned
 	}{
-		{"empty frame", frame()},
-		{"unknown type code", frame(200, 0)},
-		{"unknown bitmap bits", frame(1, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)},
-		{"trailing bytes", frame(8, 0, 9, 9)}, // query, empty bitmap, junk
-		{"truncated string", frame(7, 1<<binFieldReason&0x7F, 10)},
+		{"empty frame", frame(), ""},
+		{"unknown type code", frame(200, 0), ""},
+		{"unknown bitmap bits", frame(1, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F), unknownFields},
+		{"first unknown bit", unknownBit(numBinFields), unknownFields},
+		{"next unknown bit", unknownBit(numBinFields + 1), unknownFields},
+		{"top unknown bit", unknownBit(63), unknownFields},
+		{"trailing bytes", frame(8, 0, 9, 9), ""}, // query, empty bitmap, junk
+		{"truncated string", frame(7, 1<<binFieldReason&0x7F, 10), ""},
 	}
 	for _, tc := range cases {
 		raw := append(append([]byte{}, tc.raw...), good...)
 		br := bufio.NewReader(bytes.NewReader(raw))
 		var scratch []byte
 		var e Envelope
-		if err := bc.Read(br, 0, &scratch, &e); !IsProtocolError(err) {
-			t.Errorf("%s: err = %v, want ProtocolError", tc.name, err)
+		if err := bc.Read(br, 0, &scratch, &e); !IsProtocolError(err) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want ProtocolError %q", tc.name, err, tc.want)
 			continue
 		}
 		// The stream must be resynchronized: the next frame decodes.

@@ -307,64 +307,3 @@ func TestRouteTopKProperty(t *testing.T) {
 		}
 	}
 }
-
-// TestRendezvousOwner pins the hash ring's contract: the owner is a ring
-// member, agreed on regardless of listing order, stable for a key when
-// unrelated brokers join, and the keys spread across the ring.
-func TestRendezvousOwner(t *testing.T) {
-	ring := []string{"10.0.0.1:7700", "10.0.0.2:7700", "10.0.0.3:7700"}
-	perm := []string{ring[2], ring[0], ring[1]}
-	counts := map[string]int{}
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("cohort-%d/%d", i%7, i)
-		owner := rendezvousOwner(ring, key)
-		if owner != rendezvousOwner(perm, key) {
-			t.Fatalf("owner of %q depends on ring order", key)
-		}
-		found := false
-		for _, id := range ring {
-			if id == owner {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("owner %q not in ring", owner)
-		}
-		counts[owner]++
-	}
-	for _, id := range ring {
-		if counts[id] == 0 {
-			t.Fatalf("ring member %s owns nothing: %v", id, counts)
-		}
-	}
-
-	// Minimal disruption: removing one broker only moves its own keys.
-	smaller := []string{ring[0], ring[1]}
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("cohort-%d/%d", i%7, i)
-		before := rendezvousOwner(ring, key)
-		after := rendezvousOwner(smaller, key)
-		if before != ring[2] && before != after {
-			t.Fatalf("key %q moved from %s to %s though its owner never left", key, before, after)
-		}
-	}
-}
-
-// TestPeerOwnerLoopGuard pins the forwarding loop guard: a forwarded
-// envelope is always handled locally, whatever the ring says.
-func TestPeerOwnerLoopGuard(t *testing.T) {
-	b := newRouteTestBroker(1, 1)
-	b.SetPeers("a:1", []string{"b:2", "c:3"})
-	env := Envelope{Type: TypeBid, Cohort: "x", Client: 9}
-	// Find an envelope this broker does not own.
-	for i := 0; b.peerOwner(env) == "" && i < 64; i++ {
-		env.Client++
-	}
-	if b.peerOwner(env) == "" {
-		t.Skip("hash never left self (astronomically unlikely)")
-	}
-	env.Forwarded = true
-	if p := b.peerOwner(env); p != "" {
-		t.Fatalf("forwarded envelope re-forwarded to %s", p)
-	}
-}

@@ -141,11 +141,6 @@ type Envelope struct {
 	Floor    float64 `json:"floor,omitempty"`
 	Shedding bool    `json:"shedding,omitempty"`
 	Interval float64 `json:"interval_ms,omitempty"`
-
-	// Forwarded marks an envelope relayed between broker shards (rendezvous
-	// hashing, DESIGN.md §16): the receiving broker serves it locally even
-	// if its own ring view disagrees, so a forward can never loop.
-	Forwarded bool `json:"fwd,omitempty"`
 }
 
 // ShrinkDeadline returns the deadline budget d (milliseconds remaining)
