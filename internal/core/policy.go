@@ -63,6 +63,18 @@ func StableUnderRemoval(p Policy, tasks []*task.Task) bool {
 	return false
 }
 
+// MonotoneRanker is an optional Policy capability. A policy reports
+// NonIncreasingWhileQueued() == true when each task's priority depends on
+// that task alone and never rises as now advances while the task waits
+// with its RPT fixed: the priority computed at one instant is an upper
+// bound on the task's priority at every later one. The simulated site
+// exploits this to keep its queue in a heap keyed by each task's last
+// computed priority and re-evaluate only the tasks that surface at the top,
+// instead of ranking the whole queue at every scheduling event.
+type MonotoneRanker interface {
+	NonIncreasingWhileQueued() bool
+}
+
 // Inserter is an optional Policy capability enabling incremental candidate
 // schedules. InsertKey returns the priority task t would receive from
 // Priorities over base with t added, expressed in the same frame as the
@@ -93,6 +105,10 @@ func (FCFS) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
 // StableUnderRemoval implements StableRanker: arrival order is per-task.
 func (FCFS) StableUnderRemoval() bool { return true }
 
+// NonIncreasingWhileQueued implements MonotoneRanker: arrival order does
+// not depend on now.
+func (FCFS) NonIncreasingWhileQueued() bool { return true }
+
 // InsertKey implements Inserter.
 func (FCFS) InsertKey(_ float64, t *task.Task, _ []*task.Task) (float64, bool) {
 	return -t.Arrival, true
@@ -117,6 +133,10 @@ func (SRPT) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
 
 // StableUnderRemoval implements StableRanker: remaining time is per-task.
 func (SRPT) StableUnderRemoval() bool { return true }
+
+// NonIncreasingWhileQueued implements MonotoneRanker: a queued task's
+// remaining time is fixed.
+func (SRPT) NonIncreasingWhileQueued() bool { return true }
 
 // InsertKey implements Inserter.
 func (SRPT) InsertKey(_ float64, t *task.Task, _ []*task.Task) (float64, bool) {
@@ -145,6 +165,10 @@ func (SWPT) Priorities(dst []float64, _ float64, tasks []*task.Task) []float64 {
 // StableUnderRemoval implements StableRanker: decay/RPT is per-task.
 func (SWPT) StableUnderRemoval() bool { return true }
 
+// NonIncreasingWhileQueued implements MonotoneRanker: decay/RPT does not
+// depend on now.
+func (SWPT) NonIncreasingWhileQueued() bool { return true }
+
 // InsertKey implements Inserter.
 func (SWPT) InsertKey(_ float64, t *task.Task, _ []*task.Task) (float64, bool) {
 	return t.Decay / t.RPT, true
@@ -170,6 +194,13 @@ func (FirstPrice) Priorities(dst []float64, now float64, tasks []*task.Task) []f
 
 // StableUnderRemoval implements StableRanker: unit gain is per-task.
 func (FirstPrice) StableUnderRemoval() bool { return true }
+
+// NonIncreasingWhileQueued implements MonotoneRanker. The expected yield
+// falls with now under Equation 1's non-negative decay, each step of its
+// evaluation (add, subtract, multiply by decay, clamp at -Bound) is
+// monotone in now and rounds monotonically, and the divisor RPT is fixed
+// and positive while the task waits.
+func (FirstPrice) NonIncreasingWhileQueued() bool { return true }
 
 // InsertKey implements Inserter.
 func (FirstPrice) InsertKey(now float64, t *task.Task, _ []*task.Task) (float64, bool) {
@@ -200,6 +231,13 @@ func (p PresentValue) Priorities(dst []float64, now float64, tasks []*task.Task)
 // StableUnderRemoval implements StableRanker: discounted unit gain is
 // per-task.
 func (PresentValue) StableUnderRemoval() bool { return true }
+
+// NonIncreasingWhileQueued implements MonotoneRanker when the discount
+// rate is non-negative: the expected yield falls with now as under
+// FirstPrice, and 1 + rate*RPT is then a fixed positive divisor. A
+// negative rate can make the divisor negative, turning a falling yield
+// into a rising priority.
+func (p PresentValue) NonIncreasingWhileQueued() bool { return p.DiscountRate >= 0 }
 
 // InsertKey implements Inserter.
 func (p PresentValue) InsertKey(now float64, t *task.Task, _ []*task.Task) (float64, bool) {

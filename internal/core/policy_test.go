@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/task"
@@ -242,6 +244,72 @@ func TestPrioritiesReuseDst(t *testing.T) {
 					t.Errorf("%s bounded=%v len(dst)=%d: priorities not written into dst", spec, bounded, n)
 				}
 			}
+		}
+	}
+}
+
+// TestMonotoneRankerNonIncreasing holds every policy that declares
+// MonotoneRanker to its promise, on which the simulated site's lazy queue
+// rests: a queued task's priority never rises over a random increasing
+// sequence of clock readings. The sequences run from arrival past expiry,
+// so bounded tasks cross into the flat region where Bound 0 yields -0;
+// some tasks are part-run (RPT below the run time), some never decay.
+// Policies with cross-task terms and PV with a negative rate must not
+// declare the capability.
+func TestMonotoneRankerNonIncreasing(t *testing.T) {
+	declares := map[string]bool{
+		"fcfs": true, "srpt": true, "swpt": true, "firstprice": true,
+		"pv:rate=0": true, "pv:rate=0.001": true, "pv:rate=0.1": true,
+		"pv:rate=-0.5": false, "firstreward": false, "scheduledprice:procs=4": false,
+	}
+	for spec, want := range declares {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mr, ok := p.(MonotoneRanker)
+		if got := ok && mr.NonIncreasingWhileQueued(); got != want {
+			t.Errorf("%s: declares MonotoneRanker = %v, want %v", spec, got, want)
+		}
+		if !want {
+			continue
+		}
+		rng := rand.New(rand.NewSource(11))
+		negZero := 0
+		for trial := 0; trial < 300; trial++ {
+			bound := []float64{0, 5 + rng.Float64()*100, math.Inf(1)}[trial%3]
+			decay := rng.Float64() * 3
+			if trial%7 == 0 {
+				decay = 0
+			}
+			tk := mk(task.ID(trial), rng.Float64()*100, 0.5+rng.Float64()*60, 1+rng.Float64()*300, decay, bound)
+			if trial%4 == 0 {
+				tk.RPT = tk.Runtime * rng.Float64() // part-run, as a resumed task
+				if tk.RPT == 0 {
+					tk.RPT = tk.Runtime
+				}
+			}
+			horizon := tk.Runtime + 2*(tk.Value+100)/(decay+0.01)
+			nows := make([]float64, 80)
+			for i := range nows {
+				nows[i] = tk.Arrival + rng.Float64()*horizon
+			}
+			sort.Float64s(nows)
+			prev := math.Inf(1)
+			one := []*task.Task{tk}
+			for _, now := range nows {
+				cur := p.Priorities(nil, now, one)[0]
+				if cur > prev {
+					t.Fatalf("%s: task %v priority rose from %v to %v at now=%v", spec, tk, prev, cur, now)
+				}
+				if cur == 0 && math.Signbit(cur) {
+					negZero++
+				}
+				prev = cur
+			}
+		}
+		if (spec == "firstprice" || spec == "pv:rate=0.1") && negZero == 0 {
+			t.Errorf("%s: no Bound-0 task reached its -0 flat region", spec)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -92,13 +93,18 @@ func TestSnapshotQuoteAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkRunTraceFig3 times one 1,000-job Figure-3 cell end to end.
+// BenchmarkRunTraceFig3 times one Figure-3 cell end to end, at 1,000 jobs
+// and at the paper's 5,000, where the queue runs thousands deep.
 func BenchmarkRunTraceFig3(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tasks, cfg := fig3Cell(b, 1000)
-		b.StartTimer()
-		RunTrace(tasks, cfg)
+	for _, jobs := range []int{1000, 5000} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				tasks, cfg := fig3Cell(b, jobs)
+				b.StartTimer()
+				RunTrace(tasks, cfg)
+			}
+		})
 	}
 }

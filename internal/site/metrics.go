@@ -25,8 +25,11 @@ type Metrics struct {
 	FirstArrival   float64 // earliest submission seen (+Inf before any)
 	LastCompletion float64
 
-	// Scheduler-efficiency telemetry.
-	RankOps     int // full priority-ranking passes across all dispatch events
+	// Scheduler-efficiency telemetry. RankOps counts decision rounds: one
+	// per dispatch fill and one per preemption swap attempt, and one per
+	// start where the policy is re-ranked before every start. A round
+	// ranks the queue, or pops the lazy queue (lazyQueue).
+	RankOps     int
 	QuoteBuilds int // candidate schedules built to answer quotes
 	QuoteReuses int // quotes answered from the cached base schedule
 

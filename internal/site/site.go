@@ -4,13 +4,16 @@
 // the paper).
 //
 // A site is event-driven. Task submissions and completions are the only
-// events; at each, the site ranks its pending tasks under its policy and
-// dispatches (or preempts) accordingly. Ranking happens once per event
-// when the policy's order is stable under removal (core.StableRanker) and
-// per start otherwise; either way the resulting schedule is identical to
-// re-ranking before every start. Context-switch time is zero and
-// predicted run times are accurate, matching the paper's simplifying
-// assumptions.
+// events; at each, the site picks its best pending tasks under its policy
+// and dispatches (or preempts) accordingly. When the policy's priorities
+// are per-task and never rise while a task waits (core.MonotoneRanker),
+// the queue is a heap keyed by stale priorities and only the tasks that
+// surface at its top are re-evaluated (lazyQueue). Otherwise the queue is
+// ranked once per event when the policy's order is stable under removal
+// (core.StableRanker) and per start when it is not. Every path yields the
+// schedule that re-ranking before every start would. Context-switch time
+// is zero and predicted run times are accurate, matching the paper's
+// simplifying assumptions.
 package site
 
 import (
@@ -134,7 +137,7 @@ type Site struct {
 	adm     admission.Policy
 	procs   int // live processor count (cfg.Processors is the initial value)
 	pending []*task.Task
-	running map[task.ID]*execution
+	running []*execution // in dispatch order, but for swap-removals
 	free    int
 
 	recorder   Recorder
@@ -147,15 +150,17 @@ type Site struct {
 	version uint64
 	view    *QuoteSnapshot
 
+	// queue indexes pending for a core.MonotoneRanker policy; nil means
+	// the ranked path below.
+	queue *lazyQueue
+
 	// Ranking scratch, reused across scheduling events: the planner's
-	// buffers for dispatch, and for preemptIfBeneficial the ranked union
+	// buffers for dispatch, and for preemptRanked the ranked union
 	// (pending first, then running), its priorities, and for its running
-	// part the executions, their stored RPTs and whether each may be
-	// preempted.
+	// part the stored RPTs and whether each task may be preempted.
 	planner     core.Planner
 	union       []*task.Task
 	prios       []float64
-	unionEx     []*execution
 	savedRPT    []float64
 	preemptable []bool
 
@@ -179,9 +184,11 @@ func New(engine *sim.Engine, id string, cfg Config, opts ...Option) *Site {
 		cfg:     cfg,
 		adm:     adm,
 		procs:   cfg.Processors,
-		running: make(map[task.ID]*execution),
 		free:    cfg.Processors,
 		metrics: Metrics{FirstArrival: math.Inf(1)},
+	}
+	if mr, ok := cfg.Policy.(core.MonotoneRanker); ok && mr.NonIncreasingWhileQueued() {
+		s.queue = &lazyQueue{policy: cfg.Policy}
 	}
 	for _, opt := range opts {
 		if opt != nil {
@@ -302,8 +309,7 @@ func (s *Site) Submit(t *task.Task) (bool, error) {
 	t.State = task.Queued
 	s.metrics.Accepted++
 	s.metrics.AcceptedValue += t.Value
-	s.pending = append(s.pending, t)
-	s.invalidate()
+	s.enqueue(t, now)
 	s.recordQuote(EventSubmit, t, q)
 	s.dispatch()
 	return true, nil
@@ -334,35 +340,73 @@ func (s *Site) dispatch() {
 	if s.cfg.ParkExpired {
 		s.parkExpired(now)
 	}
-	rankOps := 0
-	for s.free > 0 && len(s.pending) > 0 {
-		starts, ranks := s.planner.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
-		rankOps += ranks
-		parked := false
-		for _, t := range starts {
-			if s.cfg.ParkExpired && !t.Unbounded() && t.ExpiredAt(now) {
-				// Unreachable after parkExpired within one atomic dispatch,
-				// but kept as the structural guarantee: park, drop the rest
-				// of this plan, and re-plan without the expired task.
-				s.removePending(t)
-				s.park(t, now)
-				s.invalidate()
-				parked = true
-				break
-			}
-			s.start(t, now)
+	var rankOps int
+	if s.queue != nil {
+		rankOps = s.fillLazy(now)
+		if s.cfg.Preemptive {
+			rankOps += s.preemptLazy(now)
 		}
-		if !parked {
-			break
+	} else {
+		rankOps = s.fillRanked(now)
+		if s.cfg.Preemptive {
+			rankOps += s.preemptRanked(now)
 		}
-	}
-	if s.cfg.Preemptive {
-		rankOps += s.preemptIfBeneficial(now)
 	}
 	if rankOps > 0 {
 		s.metrics.RankOps += rankOps
 		s.recordEvent(EventRank, 0, float64(rankOps))
 	}
+}
+
+// fillRanked fills free processors from core.PlanStarts's selection over
+// the pending queue. It reports the ranking passes spent.
+func (s *Site) fillRanked(now float64) (rankOps int) {
+	for s.free > 0 && len(s.pending) > 0 {
+		starts, ranks := s.planner.PlanStarts(s.cfg.Policy, now, s.free, s.pending)
+		rankOps += ranks
+		parked := false
+		for _, t := range starts {
+			if parked = s.startOrPark(t, now); parked {
+				break // drop the rest of this plan and re-plan
+			}
+		}
+		if !parked {
+			return rankOps
+		}
+	}
+	return rankOps
+}
+
+// fillLazy fills free processors by popping the lazy queue's best task.
+// It reports one decision round per fill, as fillRanked's single ranking
+// of a stable policy does, and one more after each park, as fillRanked's
+// re-plan does.
+func (s *Site) fillLazy(now float64) (rankOps int) {
+	plan := true
+	for s.free > 0 && len(s.pending) > 0 {
+		if plan {
+			rankOps++
+		}
+		t, _ := s.queue.best(now)
+		s.queue.pop()
+		plan = s.startOrPark(t, now)
+	}
+	return rankOps
+}
+
+// startOrPark starts a selected pending task, or parks it if ParkExpired
+// is set and it has expired, and reports whether it parked. The park is
+// unreachable after parkExpired within one atomic dispatch, but kept as
+// the structural guarantee that an expired task is never started.
+func (s *Site) startOrPark(t *task.Task, now float64) (parked bool) {
+	if s.cfg.ParkExpired && !t.Unbounded() && t.ExpiredAt(now) {
+		s.removePending(t)
+		s.park(t, now)
+		s.invalidate()
+		return true
+	}
+	s.start(t, now)
+	return false
 }
 
 // parkExpired moves expired bounded-penalty tasks out of the pending queue,
@@ -380,6 +424,9 @@ func (s *Site) parkExpired(now float64) {
 	}
 	s.pending = keep
 	if changed {
+		if s.queue != nil {
+			s.queue.retainQueued()
+		}
 		s.invalidate()
 	}
 }
@@ -402,46 +449,93 @@ const preemptEpsilon = 1e-9
 // such a task's completion event fires at the same timestamp.
 const minPreemptableRPT = 1e-9
 
-// preemptIfBeneficial repeatedly swaps the best pending task for the worst
+// preemptLazy repeatedly swaps the best pending task for the worst
+// preemptable running task while the pending one ranks strictly higher,
+// as preemptRanked does. The best pending task comes from the lazy queue;
+// each running task is evaluated on its own at its ranking basis, which
+// the policy's per-task priorities make equal to its priority in the
+// union. It reports one decision round per swap attempt.
+func (s *Site) preemptLazy(now float64) (rankOps int) {
+	for len(s.pending) > 0 && len(s.running) > 0 {
+		rankOps++
+		best, bestPrio := s.queue.best(now)
+		var victim *execution
+		var victimPrio float64
+		for _, ex := range s.running {
+			eff := s.effectiveRPT(ex, now)
+			if eff <= minPreemptableRPT {
+				continue
+			}
+			saved := ex.t.RPT
+			ex.t.RPT = s.rankingRPT(ex, eff)
+			p := s.queue.priority(now, ex.t)
+			ex.t.RPT = saved
+			if victim == nil || ranksAhead(victimPrio, victim.t.ID, p, ex.t.ID) {
+				victim, victimPrio = ex, p
+			}
+		}
+		if victim == nil || !(bestPrio > victimPrio+preemptEpsilon) {
+			return rankOps
+		}
+		s.queue.pop()
+		s.preempt(victim, now)
+		s.start(best, now)
+	}
+	return rankOps
+}
+
+// ranksAhead reports whether a task of priority pa and ID ida ranks
+// strictly ahead of one of priority pb and ID idb: higher priority first,
+// lower ID on a tie. The lazy queue and both preemption passes pick their
+// best and worst tasks by it, so the lazy path's choices are exactly the
+// ranked path's.
+func ranksAhead(pa float64, ida task.ID, pb float64, idb task.ID) bool {
+	return pa > pb || (pa == pb && ida < idb)
+}
+
+// rankingRPT is the remaining work a running task is ranked at when a
+// pending task challenges it: its full run time under RestartCost, else
+// its effective remaining time eff.
+func (s *Site) rankingRPT(ex *execution, eff float64) float64 {
+	if s.cfg.PreemptRanking == RestartCost {
+		return ex.t.Runtime
+	}
+	return eff
+}
+
+// preemptRanked repeatedly swaps the best pending task for the worst
 // running task while the pending one ranks strictly higher. Rankings are
 // evaluated over the union of pending and running tasks so cross-task cost
 // terms see the full competing set. It reports the number of ranking
 // passes performed.
-func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
+func (s *Site) preemptRanked(now float64) (rankOps int) {
 	for len(s.pending) > 0 && len(s.running) > 0 {
 		// union[:np] is the pending queue; union[np+j] is running task j.
 		np := len(s.pending)
 		union := append(s.union[:0], s.pending...)
-		exs, saved, preemptable := s.unionEx[:0], s.savedRPT[:0], s.preemptable[:0]
+		saved, preemptable := s.savedRPT[:0], s.preemptable[:0]
 		// Snapshot each running task's stored RPT, then install the ranking
 		// basis (remaining work, or full restart cost) for the priority
 		// computation; the snapshots are restored before any action.
 		for _, ex := range s.running {
 			eff := s.effectiveRPT(ex, now)
-			exs = append(exs, ex)
 			saved = append(saved, ex.t.RPT)
 			preemptable = append(preemptable, eff > minPreemptableRPT)
-			if s.cfg.PreemptRanking == RestartCost {
-				ex.t.RPT = ex.t.Runtime
-			} else {
-				ex.t.RPT = eff
-			}
+			ex.t.RPT = s.rankingRPT(ex, eff)
 			union = append(union, ex.t)
 		}
 		prios := s.cfg.Policy.Priorities(s.prios, now, union)
-		s.union, s.prios, s.unionEx, s.savedRPT, s.preemptable = union, prios, exs, saved, preemptable
+		s.union, s.prios, s.savedRPT, s.preemptable = union, prios, saved, preemptable
 		rankOps++
 
 		bestPending, worstRunning := -1, -1
 		for i, t := range union {
 			if i < np {
-				if bestPending < 0 || prios[i] > prios[bestPending] ||
-					(prios[i] == prios[bestPending] && t.ID < union[bestPending].ID) {
+				if bestPending < 0 || ranksAhead(prios[i], t.ID, prios[bestPending], union[bestPending].ID) {
 					bestPending = i
 				}
 			} else if preemptable[i-np] {
-				if worstRunning < 0 || prios[i] < prios[worstRunning] ||
-					(prios[i] == prios[worstRunning] && t.ID > union[worstRunning].ID) {
+				if worstRunning < 0 || ranksAhead(prios[worstRunning], union[worstRunning].ID, prios[i], t.ID) {
 					worstRunning = i
 				}
 			}
@@ -451,13 +545,13 @@ func (s *Site) preemptIfBeneficial(now float64) (rankOps int) {
 			prios[bestPending] > prios[worstRunning]+preemptEpsilon
 		// Restore the true stored RPTs before acting; preempt() derives the
 		// victim's post-preemption RPT from its execution record.
-		for j, ex := range exs {
+		for j, ex := range s.running {
 			ex.t.RPT = saved[j]
 		}
 		if !doSwap {
 			return rankOps
 		}
-		s.preempt(union[worstRunning], now)
+		s.preempt(s.running[worstRunning-np], now)
 		s.start(union[bestPending], now)
 	}
 	return rankOps
@@ -469,8 +563,8 @@ func (s *Site) start(t *task.Task, now float64) {
 	t.State = task.Running
 	t.Start = now
 	ex := &execution{t: t, start: now}
-	ex.done = s.engine.After(t.RPT, func() { s.complete(t) })
-	s.running[t.ID] = ex
+	ex.done = s.engine.After(t.RPT, func() { s.complete(ex) })
+	s.running = append(s.running, ex)
 	s.free--
 	s.invalidate()
 	s.record(EventStart, t, t.RPT)
@@ -479,10 +573,10 @@ func (s *Site) start(t *task.Task, now float64) {
 // preempt suspends a running task, returning it to the pending queue with
 // its remaining processing time — or, with PreemptionRestart, discarding
 // its progress so it must run from scratch.
-func (s *Site) preempt(t *task.Task, now float64) {
-	ex := s.running[t.ID]
+func (s *Site) preempt(ex *execution, now float64) {
+	t := ex.t
 	ex.done.Cancel()
-	delete(s.running, t.ID)
+	s.stopRunning(ex)
 	s.free++
 	t.State = task.Queued
 	t.Preemptions++
@@ -492,16 +586,15 @@ func (s *Site) preempt(t *task.Task, now float64) {
 	} else {
 		t.RPT = s.effectiveRPT(ex, now)
 	}
-	s.pending = append(s.pending, t)
-	s.invalidate()
+	s.enqueue(t, now)
 	s.record(EventPreempt, t, t.RPT)
 }
 
 // complete realizes a task's yield at the current time and refills the
 // freed processor.
-func (s *Site) complete(t *task.Task) {
-	now := s.engine.Now()
-	delete(s.running, t.ID)
+func (s *Site) complete(ex *execution) {
+	t, now := ex.t, s.engine.Now()
+	s.stopRunning(ex)
 	s.free++
 	s.invalidate()
 	t.State = task.Completed
@@ -529,6 +622,29 @@ func (s *Site) recordOutcome(t *task.Task, now float64) {
 	for _, fn := range s.onComplete {
 		fn(t)
 	}
+}
+
+// stopRunning removes an execution from the running set.
+func (s *Site) stopRunning(ex *execution) {
+	last := len(s.running) - 1
+	for i, r := range s.running {
+		if r == ex {
+			s.running[i] = s.running[last]
+			s.running[last] = nil
+			s.running = s.running[:last]
+			return
+		}
+	}
+	panic(fmt.Sprintf("site: task %d not running", ex.t.ID))
+}
+
+// enqueue appends a task that has just become queued to the pending queue.
+func (s *Site) enqueue(t *task.Task, now float64) {
+	s.pending = append(s.pending, t)
+	if s.queue != nil {
+		s.queue.push(now, t)
+	}
+	s.invalidate()
 }
 
 func (s *Site) removePending(t *task.Task) {

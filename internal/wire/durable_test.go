@@ -61,10 +61,12 @@ func TestGracefulRestartHonorsContracts(t *testing.T) {
 	awardTask(t, c, 1, 2000)
 	awardTask(t, c, 2, 50)
 	awardTask(t, c, 3, 50)
-	c.Close()
+	// Close the server first: a client disconnect it saw first would
+	// abandon the queued contracts 2 and 3 before Close drains the book.
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	c.Close()
 
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
